@@ -25,20 +25,8 @@
 //	oracle-server -addr :7070 -coalesce 64 -tenants 2 -max-inflight 256 \
 //	    -queue-cap 64 -rate 50000 -max-sessions 1000000 -idle-timeout 2m
 //
-// A second instance can run as a hot standby on the same machine:
-//
-//	oracle-server -addr :7071 -standby -follow /var/lib/wsi/wal.log \
-//	    -wal /var/lib/wsi/standby-wal.log
-//
-// The standby tails the primary's ledger into a shadow commit table and
-// rejects requests until a client issues the promote operation
-// (netsrv.Client.Promote). Promotion seals the primary's ledger — fencing
-// it BookKeeper-style, so a still-running primary can no longer
-// acknowledge commits — drains the tail, resumes the timestamp epoch, and
-// starts serving from its own WAL, whose first record is a full checkpoint.
-//
-// Instead of the manual standby/promote pair, a set of servers can run as a
-// self-healing replicated group over a shared ledger directory:
+// For high availability, a set of servers runs as a self-healing
+// replicated group over a shared ledger directory:
 //
 //	oracle-server -addr :7070 -group /var/lib/wsi/group -node-id 0 -bootstrap
 //	oracle-server -addr :7071 -group /var/lib/wsi/group -node-id 1
@@ -49,10 +37,12 @@
 // ledger into standby shadows (serving stale-bounded status reads and
 // answering data ops with a leader redirect), and when renewals stop the
 // best-caught-up follower seals the old epoch — fencing the dead leader's
-// writer even if it is still running — and promotes itself. Kill -9 the
-// leader and the group heals within ~2 lease durations (-lease-ms); restart
-// it and it rejoins as a follower. Failover clients (netsrv.DialFailover)
-// list every member and follow the redirects automatically.
+// writer BookKeeper-style, even if it is still running — drains the tail,
+// resumes the timestamp epoch and serves from a fresh epoch ledger whose
+// first record is a full checkpoint. Kill -9 the leader and the group
+// heals within ~2 lease durations (-lease-ms); restart it and it rejoins
+// as a follower. Failover clients (netsrv.DialFailover) list every member
+// and follow the redirects automatically.
 //
 // The server can also run as one key slice of a partitioned status oracle
 // (internal/partition):
@@ -65,7 +55,9 @@
 // netsrv.DialPartitioned, whose coordinator routes single-partition
 // commits to their owner and runs the two-phase prepare/decide protocol
 // for transactions that span slices. Partition 0's server doubles as the
-// timestamp authority.
+// timestamp authority. A partition can itself be a replicated group:
+// -group combines with -partitions/-partition-id, and every member
+// enforces the slice's ownership.
 package main
 
 import (
@@ -97,7 +89,6 @@ func main() {
 		walPath = flag.String("wal", "", "path to a file-backed WAL ledger (empty: no durability)")
 		maxRows = flag.Int("max-rows", 0, "bound on retained lastCommit rows (Algorithm 3 NR; 0 = unbounded)")
 		shards  = flag.Int("shards", 1, "critical-section shards (1 = paper's implementation)")
-		table   = flag.String("table", "open", "lastCommit storage: open (open-addressed, zero-allocation) or map (reference)")
 		fsync   = flag.Bool("fsync", true, "fsync each WAL batch (with -wal)")
 
 		debugAddr   = flag.String("debug-addr", "", "listen address for the debug HTTP plane: /metrics (Prometheus text), /vars (JSON), /debug/pprof (empty: disabled), e.g. 127.0.0.1:6060")
@@ -119,10 +110,7 @@ func main() {
 		idleTimeout = flag.Duration("idle-timeout", 0, "disconnect a connection sending no frame for this long (0 = never; subscribers exempt)")
 		maxPending  = flag.Int("max-pending", 0, "per-connection response buffer bound in bytes; a slow reader beyond it is disconnected (0 = default 4MiB, -1 = unbounded)")
 
-		ckptInterval = flag.Duration("checkpoint-interval", 0, "write a commit-table checkpoint this often (0 = off; requires -wal)")
-		standby      = flag.Bool("standby", false, "run as a hot standby tailing -follow; serve only after a promote request")
-		follow       = flag.String("follow", "", "primary WAL ledger to tail (with -standby)")
-		pollEvery    = flag.Duration("poll", 20*time.Millisecond, "standby tail poll interval (with -standby)")
+		ckptInterval = flag.Duration("checkpoint-interval", 0, "write a commit-table checkpoint this often (0 = off; with -wal or -group)")
 
 		groupDir  = flag.String("group", "", "epoch-ledger directory of a self-healing replicated group; runs this server as one member (with -node-id)")
 		nodeID    = flag.Int("node-id", 0, "this member's id in the group; also staggers election timeouts (with -group)")
@@ -135,9 +123,6 @@ func main() {
 		routerSpec  = flag.String("router", "hash", "row router of the partitioned deployment: hash, range, range:s1,s2,..., or map:... (with -partitions > 1)")
 		loadSpan    = flag.Uint64("loadspan", 0, "row-id span of the per-slice load histogram the rebalancer reads (0 = full 64-bit space); set to the workload's row count")
 	)
-	// -pprof predates the metrics plane; it is kept as an alias so existing
-	// start scripts keep their profiler.
-	flag.StringVar(debugAddr, "pprof", "", "deprecated alias for -debug-addr")
 	flag.Parse()
 
 	var eng oracle.Engine
@@ -150,12 +135,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "oracle-server: unknown engine %q\n", *engine)
 		os.Exit(2)
 	}
-	kind, err := oracle.ParseTableKind(*table)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "oracle-server: %v\n", err)
-		os.Exit(2)
-	}
-	cfg := oracle.Config{Engine: eng, Table: kind, MaxRows: *maxRows, Shards: *shards, LoadSpan: *loadSpan}
+	cfg := oracle.Config{Engine: eng, MaxRows: *maxRows, Shards: *shards, LoadSpan: *loadSpan}
 
 	// Partitioned deployment: this server owns one key slice of a
 	// -partitions-wide status oracle. The router must match the one the
@@ -210,11 +190,7 @@ func main() {
 			fsync:     *fsync,
 			ckpt:      *ckptInterval,
 		}
-		runGroup(cfg, *addr, gf, *coalesce, *coalesceDelay, ing, obs, sig)
-		return
-	}
-	if *standby {
-		runStandby(cfg, *addr, *follow, *walPath, *fsync, *pollEvery, *coalesce, *coalesceDelay, ing, obs, role, sig)
+		runGroup(cfg, *addr, gf, *coalesce, *coalesceDelay, ing, obs, role, sig)
 		return
 	}
 	runPrimary(cfg, *addr, *walPath, *fsync, *ckptInterval, *coalesce, *coalesceDelay, ing, obs, role, sig)
@@ -327,7 +303,8 @@ func logStats(reg *metrics.Registry) {
 	}
 }
 
-// ingressFlags carries the front-door knobs shared by primary and standby.
+// ingressFlags carries the front-door knobs shared by primary and group
+// member.
 type ingressFlags struct {
 	tenants, maxInflight, queueCap int
 	rate                           float64
@@ -485,9 +462,10 @@ type groupFlags struct {
 // observes a higher epoch (OnFollow). Data ops sent here while following
 // answer a leader redirect built from replayed lease records; status reads
 // are served from the follower's shadow at bounded staleness.
-func runGroup(cfg oracle.Config, addr string, gf groupFlags, coalesce int, coalesceDelay time.Duration, ing ingressFlags, obs obsFlags, sig chan os.Signal) {
+func runGroup(cfg oracle.Config, addr string, gf groupFlags, coalesce int, coalesceDelay time.Duration, ing ingressFlags, obs obsFlags, role *partitionRole, sig chan os.Signal) {
 	store := &ha.DirStore{Dir: gf.dir, Sync: gf.fsync}
-	srv := netsrv.NewStandbyServer(nil)
+	srv := netsrv.NewServer(nil)
+	role.apply(srv)
 	configureCoalescing(srv, coalesce, coalesceDelay)
 	ing.apply(srv)
 	obs.apply(srv)
@@ -542,87 +520,4 @@ func runGroup(cfg oracle.Config, addr string, gf groupFlags, coalesce int, coale
 	// Stopping the member releases the lease path cleanly: a leader stops
 	// renewing and the rest of the group elects after expiry.
 	m.Stop()
-}
-
-func runStandby(cfg oracle.Config, addr, follow, walPath string, fsync bool, pollEvery time.Duration, coalesce int, coalesceDelay time.Duration, ing ingressFlags, obs obsFlags, role *partitionRole, sig chan os.Signal) {
-	if follow == "" {
-		log.Fatalf("oracle-server: -standby requires -follow <primary wal>")
-	}
-	reader, err := wal.OpenFileLedgerReader(follow)
-	if err != nil {
-		log.Fatalf("oracle-server: open primary wal: %v", err)
-	}
-	sb, err := ha.NewStandby(cfg, reader)
-	if err != nil {
-		log.Fatalf("oracle-server: standby: %v", err)
-	}
-	if n, err := sb.CatchUp(); err != nil {
-		log.Fatalf("oracle-server: initial catch-up: %v", err)
-	} else {
-		log.Printf("oracle-server: standby caught up: %d records applied", n)
-	}
-	sb.Start(pollEvery)
-
-	var promotedWriter *wal.Writer
-	var promotedSO *oracle.StatusOracle
-	var srv *netsrv.Server
-	srv = netsrv.NewStandbyServer(func() (*oracle.StatusOracle, error) {
-		// Fence the primary through a read-write handle on its ledger
-		// file: the durable seal marker fails the primary's next append
-		// even though it is a separate process.
-		fenceLedger, err := wal.OpenFileLedger(follow, fsync)
-		if err != nil {
-			return nil, fmt.Errorf("open primary wal for fencing: %w", err)
-		}
-		defer fenceLedger.Close()
-		var w *wal.Writer
-		if walPath != "" {
-			ownLedger, err := wal.OpenFileLedger(walPath, fsync)
-			if err != nil {
-				return nil, fmt.Errorf("open standby wal: %w", err)
-			}
-			w, err = wal.NewWriter(wal.DefaultConfig(), ownLedger)
-			if err != nil {
-				return nil, err
-			}
-		}
-		so, err := sb.Promote(ha.PromoteConfig{Fence: []wal.Ledger{fenceLedger}, WAL: w})
-		if err != nil {
-			return nil, err
-		}
-		promotedWriter, promotedSO = w, so
-		if w != nil {
-			srv.Registry().Register(w.MetricsSource())
-		}
-		records, tsoBound := sb.Applied()
-		log.Printf("oracle-server: promoted to primary: %d records inherited, timestamp epoch resumes at %d", records, tsoBound)
-		return so, nil
-	})
-	role.apply(srv)
-	configureCoalescing(srv, coalesce, coalesceDelay)
-	ing.apply(srv)
-	obs.apply(srv)
-	boundAddr, err := srv.Listen(addr)
-	if err != nil {
-		log.Fatalf("oracle-server: listen: %v", err)
-	}
-	srv.Registry().Register(sb.MetricsSource())
-	obs.start(srv)
-	log.Printf("oracle-server: %s engine hot standby on %s, tailing %s (promote to serve)", cfg.Engine, boundAddr, follow)
-
-	<-sig
-	log.Printf("oracle-server: shutting down standby")
-	if err := srv.Close(); err != nil {
-		log.Printf("oracle-server: close: %v", err)
-	}
-	sb.Stop()
-	if promotedWriter != nil {
-		promotedWriter.Flush()
-		if promotedSO != nil {
-			if err := promotedSO.Checkpoint(); err != nil {
-				log.Printf("oracle-server: final checkpoint: %v", err)
-			}
-		}
-		promotedWriter.Close()
-	}
 }

@@ -91,149 +91,6 @@ func recoveryPoint(commits, interval int) (records, replayed int64, recovery tim
 	return records, st.ReplayedRecords, recovery, nil
 }
 
-// availabilityGap runs a live failover: a primary server under commit
-// load, a hot standby tailing its ledger, a fenced promotion, and a
-// failover client that reconnects. It returns the measured unavailability
-// window (last ack on the primary to first ack on the promoted standby),
-// the promotion duration, and the acked-commit audit (total acked, lost
-// after failover — must be zero).
-func availabilityGap(detect time.Duration) (gap, promote time.Duration, acked, lost int, promotedStats oracle.Stats, err error) {
-	ledgers := []wal.Ledger{wal.NewMemLedger(), wal.NewMemLedger(), wal.NewMemLedger()}
-	w, err := wal.NewWriter(wal.Config{BatchBytes: 64 << 10, BatchDelay: time.Millisecond}, ledgers...)
-	if err != nil {
-		return 0, 0, 0, 0, oracle.Stats{}, err
-	}
-	so, err := oracle.New(oracle.Config{Engine: oracle.SI, WAL: w, TSO: tso.New(100_000, w)})
-	if err != nil {
-		return 0, 0, 0, 0, oracle.Stats{}, err
-	}
-	primary := netsrv.NewServer(so)
-	primary.Logf = nil
-	primaryAddr, err := primary.Listen("127.0.0.1:0")
-	if err != nil {
-		return 0, 0, 0, 0, oracle.Stats{}, err
-	}
-
-	sb, err := ha.NewStandby(oracle.Config{Engine: oracle.SI}, ledgers[0])
-	if err != nil {
-		return 0, 0, 0, 0, oracle.Stats{}, err
-	}
-	sb.Start(time.Millisecond)
-	standby := netsrv.NewStandbyServer(func() (*oracle.StatusOracle, error) {
-		nw, err := wal.NewWriter(wal.Config{BatchBytes: 64 << 10, BatchDelay: time.Millisecond}, wal.NewMemLedger())
-		if err != nil {
-			return nil, err
-		}
-		return sb.Promote(ha.PromoteConfig{Fence: ledgers, WAL: nw})
-	})
-	standby.Logf = nil
-	standbyAddr, err := standby.Listen("127.0.0.1:0")
-	if err != nil {
-		return 0, 0, 0, 0, oracle.Stats{}, err
-	}
-	defer standby.Close()
-
-	type ack struct{ start, commit uint64 }
-	var (
-		mu      sync.Mutex
-		acks    []ack
-		lastOK  atomic.Int64 // unix nanos of the last successful commit
-		firstOK atomic.Int64 // first success after the kill (0 until then)
-		killed  atomic.Int64 // unix nanos of the primary kill
-		stop    atomic.Bool
-	)
-	client, err := netsrv.DialFailover(primaryAddr, standbyAddr)
-	if err != nil {
-		return 0, 0, 0, 0, oracle.Stats{}, err
-	}
-	defer client.Close()
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; !stop.Load(); i++ {
-			ts, err := client.Begin()
-			if err != nil {
-				time.Sleep(200 * time.Microsecond)
-				continue
-			}
-			res, err := client.Commit(oracle.CommitRequest{StartTS: ts, WriteSet: []oracle.RowID{oracle.RowID(i)}})
-			if err != nil || !res.Committed {
-				time.Sleep(200 * time.Microsecond)
-				continue
-			}
-			now := time.Now().UnixNano()
-			lastOK.Store(now)
-			if killed.Load() > 0 && firstOK.Load() == 0 {
-				firstOK.Store(now)
-			}
-			mu.Lock()
-			acks = append(acks, ack{ts, res.CommitTS})
-			mu.Unlock()
-		}
-	}()
-
-	time.Sleep(50 * time.Millisecond) // steady load
-	preKill := lastOK.Load()
-	killed.Store(time.Now().UnixNano())
-	primary.Close()
-	// A detector (health checker, lease) notices the death and triggers
-	// the promotion; its delay is part of the availability gap.
-	time.Sleep(detect)
-	ctl, err := netsrv.Dial(standbyAddr)
-	if err != nil {
-		return 0, 0, 0, 0, oracle.Stats{}, err
-	}
-	pStart := time.Now()
-	if err := ctl.Promote(); err != nil {
-		ctl.Close()
-		return 0, 0, 0, 0, oracle.Stats{}, fmt.Errorf("promote: %w", err)
-	}
-	promote = time.Since(pStart)
-	ctl.Close()
-
-	// Wait for the client to land its first post-failover commit.
-	deadline := time.Now().Add(5 * time.Second)
-	for firstOK.Load() == 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	stop.Store(true)
-	wg.Wait()
-	if firstOK.Load() == 0 {
-		return 0, 0, 0, 0, oracle.Stats{}, fmt.Errorf("failover: no commit succeeded after promotion")
-	}
-	if preKill == 0 {
-		return 0, 0, 0, 0, oracle.Stats{}, fmt.Errorf("failover: no commit succeeded before the kill")
-	}
-	gap = time.Duration(firstOK.Load() - killed.Load())
-
-	// Audit: every acked commit must be visible on the promoted oracle
-	// with its original commit timestamp.
-	audit, err := netsrv.Dial(standbyAddr)
-	if err != nil {
-		return 0, 0, 0, 0, oracle.Stats{}, err
-	}
-	defer audit.Close()
-	mu.Lock()
-	all := append([]ack(nil), acks...)
-	mu.Unlock()
-	lookups := make([]uint64, len(all))
-	for i, a := range all {
-		lookups[i] = a.start
-	}
-	statuses := audit.QueryBatch(lookups)
-	for i, st := range statuses {
-		if st.Status != oracle.StatusCommitted || st.CommitTS != all[i].commit {
-			lost++
-		}
-	}
-	promotedStats, err = audit.Stats()
-	if err != nil {
-		return 0, 0, 0, 0, oracle.Stats{}, err
-	}
-	return gap, promote, len(all), lost, promotedStats, nil
-}
-
 // electionResult is one point of the automatic-election sweep: a 3-member
 // group under wire-level commit load loses its leader with no handover and
 // heals on its own.
@@ -250,12 +107,9 @@ type electionResult struct {
 
 // failoverReport is the JSON artifact of the whole experiment.
 type failoverReport struct {
-	Experiment      string           `json:"experiment"`
-	Quick           bool             `json:"quick"`
-	ManualDetectMS  float64          `json:"manual_detect_ms"`
-	ManualGapMS     float64          `json:"manual_gap_ms"`
-	ManualPromoteMS float64          `json:"manual_promote_ms"`
-	Elections       []electionResult `json:"elections"`
+	Experiment string           `json:"experiment"`
+	Quick      bool             `json:"quick"`
+	Elections  []electionResult `json:"elections"`
 }
 
 // electionGap measures one automatic failover at the wire: three group
@@ -280,7 +134,7 @@ func electionGap(lease time.Duration) (electionResult, error) {
 		}
 	}()
 	for i := 0; i < 3; i++ {
-		srv := netsrv.NewStandbyServer(nil)
+		srv := netsrv.NewServer(nil)
 		srv.Logf = nil
 		addr, err := srv.Listen("127.0.0.1:0")
 		if err != nil {
@@ -331,6 +185,7 @@ func electionGap(lease time.Duration) (electionResult, error) {
 		acks         []ack
 		firstOK      atomic.Int64 // first ack after the kill (unix nanos)
 		killed       atomic.Int64
+		dead         atomic.Bool  // the old leader's server no longer answers
 		standbyReads atomic.Int64 // follower-shadow answers during the outage
 		stop         atomic.Bool
 		wg           sync.WaitGroup
@@ -339,6 +194,10 @@ func electionGap(lease time.Duration) (electionResult, error) {
 	go func() {
 		defer wg.Done()
 		for i := 0; !stop.Load(); i++ {
+			// Only an attempt begun after the old leader's server closed
+			// can end the outage: one in flight across the kill may still
+			// be acked by the dying leader, before any election.
+			afterKill := dead.Load()
 			ts, err := client.Begin()
 			if err != nil {
 				time.Sleep(200 * time.Microsecond)
@@ -349,7 +208,7 @@ func electionGap(lease time.Duration) (electionResult, error) {
 				time.Sleep(200 * time.Microsecond)
 				continue
 			}
-			if killed.Load() > 0 && firstOK.Load() == 0 {
+			if afterKill && firstOK.Load() == 0 {
 				firstOK.Store(time.Now().UnixNano())
 			}
 			mu.Lock()
@@ -394,6 +253,7 @@ func electionGap(lease time.Duration) (electionResult, error) {
 	killed.Store(time.Now().UnixNano())
 	members[lead].Stop() // crash: renewals cease, nothing handed over
 	srvs[lead].Close()
+	dead.Store(true)
 
 	deadline := time.Now().Add(30*lease + 5*time.Second)
 	for firstOK.Load() == 0 && time.Now().Before(deadline) {
@@ -454,10 +314,10 @@ func electionGap(lease time.Duration) (electionResult, error) {
 func init() {
 	register(Experiment{
 		Name:  "failover",
-		Title: "Checkpointed recovery bound and hot-standby failover: recovery time vs checkpoint interval, availability gap",
+		Title: "Checkpointed recovery bound and self-healing group failover: recovery time vs checkpoint interval and vs lease",
 		Run: func(quick bool) (string, error) {
 			var b strings.Builder
-			b.WriteString(header("Failover: bounded recovery and fenced hot-standby promotion"))
+			b.WriteString(header("Failover: bounded recovery and elected, fenced promotion"))
 
 			// Not a multiple of any interval, so the log always ends
 			// with a real post-checkpoint suffix (mid-interval crash).
@@ -491,25 +351,6 @@ func init() {
 			b.WriteString("\nreplayed counts come from oracle.Stats.ReplayedRecords: with checkpoints,\n")
 			b.WriteString("recovery replays only the post-checkpoint suffix, so its cost is bounded\n")
 			b.WriteString("by the checkpoint interval instead of the history length.\n")
-
-			detect := 5 * time.Millisecond
-			gap, promote, acked, lost, pst, err := availabilityGap(detect)
-			if err != nil {
-				return "", err
-			}
-			b.WriteString("\nlive failover (primary killed under load, fenced promotion, client reconnect):\n\n")
-			fmt.Fprintf(&b, "detection delay (simulated): %v\n", detect)
-			fmt.Fprintf(&b, "fenced promotion:            %v (seal + drain tail + resume epoch + initial checkpoint)\n", promote.Round(10*time.Microsecond))
-			fmt.Fprintf(&b, "availability gap:            %v (last primary ack -> first standby ack)\n", gap.Round(10*time.Microsecond))
-			fmt.Fprintf(&b, "acked commits audited:       %d, lost after failover: %d\n", acked, lost)
-			fmt.Fprintf(&b, "promoted oracle (wire opStats): Checkpoints=%d LastCheckpointTS=%d (epoch fence)\n",
-				pst.Checkpoints, pst.LastCheckpointTS)
-			if lost > 0 {
-				return "", fmt.Errorf("failover: %d acked commits lost", lost)
-			}
-			b.WriteString("\nthe audit queries every acked commit on the promoted oracle: acked commits\n")
-			b.WriteString("are durable on the ledgers the standby drains before serving, so none are\n")
-			b.WriteString("lost, and the fenced old primary can never double-ack (wal.ErrFenced).\n")
 
 			leases := GroupLeases
 			if quick {
@@ -545,14 +386,7 @@ func init() {
 			b.WriteString("landed while the group had no leader at all.\n")
 
 			if FailoverJSONPath != "" {
-				rep := failoverReport{
-					Experiment:      "failover",
-					Quick:           quick,
-					ManualDetectMS:  float64(detect) / float64(time.Millisecond),
-					ManualGapMS:     float64(gap) / float64(time.Millisecond),
-					ManualPromoteMS: float64(promote) / float64(time.Millisecond),
-					Elections:       points,
-				}
+				rep := failoverReport{Experiment: "failover", Quick: quick, Elections: points}
 				data, err := json.MarshalIndent(rep, "", "  ")
 				if err != nil {
 					return "", err

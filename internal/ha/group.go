@@ -15,8 +15,8 @@ import (
 	"repro/internal/wal"
 )
 
-// This file turns the manual standby/Promote machinery into a
-// self-healing N-node group. Each epoch of leadership owns one replica
+// This file builds the self-healing N-node group on the Standby/Promote
+// machinery. Each epoch of leadership owns one replica
 // ledger set; the leader renews an epoch-numbered lease through the
 // quorum append path (lease.go), followers tail the epoch's log and run a
 // failure detector over observed progress, and on lease expiry the

@@ -12,10 +12,15 @@
 //     through the oracle's WAL, bounding the log suffix that recovery (or
 //     a cold standby) must replay to the checkpoint interval.
 //
-//   - A Standby continuously tails the ledger, applying commit/abort/
-//     checkpoint records into a shadow status oracle, so promotion only
-//     has to drain the final few batches — near-instant, independent of
-//     history length.
+//   - A Standby tails the ledger, applying commit/abort/checkpoint
+//     records into a shadow status oracle, so promotion only has to drain
+//     the final few batches — near-instant, independent of history
+//     length.
+//
+//   - A Member (group.go) runs one node of a self-healing replicated
+//     group: it drives its Standby's CatchUp every poll, detects the
+//     leader's lease expiry, and campaigns. Winning an election is the
+//     only way a standby starts serving.
 //
 //   - Promotion is fenced, BookKeeper-style: the standby seals the old
 //     primary's ledgers before serving. A sealed ledger rejects appends,
@@ -101,6 +106,10 @@ func (c *Checkpointer) Err() error {
 	return box.err
 }
 
+// errBox gives atomic.Value a single concrete type to hold errors of any
+// underlying type.
+type errBox struct{ err error }
+
 // Standby maintains a hot shadow of a primary status oracle by tailing its
 // ledger. It applies commit, abort, commit-batch and checkpoint records
 // into an oracle that is not serving, and tracks the timestamp-oracle
@@ -114,15 +123,11 @@ type Standby struct {
 	applied  int64
 	observed int64 // every record tailed, including lease/tso/foreign ones
 	promoted bool
-	lastErr  atomic.Value // error: latest tail failure, cleared on success
 
 	// Leadership as observed from lease records in the tailed log.
 	leaseEpoch uint64
 	leaseSeq   uint64
 	leaderAddr string
-
-	runStop chan struct{}
-	runDone chan struct{}
 }
 
 // NewStandby builds a standby over the designated read ledger. cfg carries
@@ -186,68 +191,6 @@ func (s *Standby) catchUpLocked() (int, error) {
 	}
 }
 
-// Start launches the tailing loop, polling the ledger every interval.
-func (s *Standby) Start(interval time.Duration) {
-	if interval <= 0 {
-		interval = 10 * time.Millisecond
-	}
-	s.mu.Lock()
-	if s.runStop != nil || s.promoted {
-		s.mu.Unlock()
-		return
-	}
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	s.runStop, s.runDone = stop, done
-	s.mu.Unlock()
-	go func() {
-		defer close(done)
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-t.C:
-				// A failure is latched for Err() and retried on the
-				// next tick — the tailer does not advance past an
-				// unreadable batch, so a transient anomaly (e.g. a
-				// raced read) resolves itself, while a persistent one
-				// stays visible to monitoring and fails Promote.
-				if _, err := s.CatchUp(); err != nil {
-					s.lastErr.Store(errBox{err})
-				} else {
-					s.lastErr.Store(errBox{})
-				}
-			}
-		}
-	}()
-}
-
-// errBox gives atomic.Value a single concrete type to hold errors of any
-// underlying type (including the cleared nil state).
-type errBox struct{ err error }
-
-// Err reports the most recent tailing failure, nil after a healthy poll.
-// Operators should check it before trusting Applied() freshness.
-func (s *Standby) Err() error {
-	box, _ := s.lastErr.Load().(errBox)
-	return box.err
-}
-
-// Stop halts the tailing loop (idempotent; promotion calls it).
-func (s *Standby) Stop() {
-	s.mu.Lock()
-	stop, done := s.runStop, s.runDone
-	s.runStop, s.runDone = nil, nil
-	s.mu.Unlock()
-	if stop == nil {
-		return
-	}
-	close(stop)
-	<-done
-}
-
 // Applied returns how many oracle records the standby has applied and the
 // timestamp-oracle bound it has observed.
 func (s *Standby) Applied() (records int64, tsoBound uint64) {
@@ -272,16 +215,6 @@ func (s *Standby) Lease() (epoch, seq uint64, addr string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.leaseEpoch, s.leaseSeq, s.leaderAddr
-}
-
-// Retarget points the standby at a different ledger — the new leader's
-// epoch log after an election this standby lost. It is safe because a
-// promoted log's first record is a full checkpoint, which resets the
-// shadow wholesale when applied; nothing stale survives the switch.
-func (s *Standby) Retarget(read wal.Ledger) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.tail = wal.NewTailer(read)
 }
 
 // QueryBatchInto serves a stale-bounded read from the shadow commit
@@ -312,8 +245,7 @@ func (s *Standby) Lag() (int, error) {
 
 // ErrElectionLost is returned by Promote when another candidate sealed a
 // quorum of the fence ledgers at the proposed epoch first. The loser's
-// standby is untouched — it retargets onto the winner's log and keeps
-// tailing.
+// standby is untouched — it keeps tailing until the winner's log appears.
 var ErrElectionLost = errors.New("ha: election lost: seal epoch superseded on a quorum")
 
 // PromoteConfig parameterizes a fenced promotion.
@@ -363,7 +295,6 @@ type PromoteConfig struct {
 // old primary could have issued, and every commit the old primary acked is
 // in its commit table.
 func (s *Standby) Promote(pc PromoteConfig) (*oracle.StatusOracle, error) {
-	s.Stop()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.promoted {
@@ -427,7 +358,7 @@ func (s *Standby) Promote(pc PromoteConfig) (*oracle.StatusOracle, error) {
 
 // MetricsSource adapts the standby's tailing progress to the metrics
 // registry: records applied, the TSO bound the shadow has reached, and
-// whether the tail loop has latched an error.
+// how far it lags the ledger.
 func (s *Standby) MetricsSource() metrics.Source {
 	return func(emit func(metrics.Sample)) {
 		records, bound := s.Applied()
@@ -436,10 +367,5 @@ func (s *Standby) MetricsSource() metrics.Source {
 		if lag, err := s.Lag(); err == nil {
 			emit(metrics.G("ha_standby_lag_records", float64(lag)))
 		}
-		failed := 0.0
-		if s.Err() != nil {
-			failed = 1
-		}
-		emit(metrics.G("ha_standby_tail_failed", failed))
 	}
 }

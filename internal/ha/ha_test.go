@@ -3,6 +3,7 @@ package ha
 import (
 	"errors"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -51,7 +52,8 @@ func commitN(t *testing.T, so *oracle.StatusOracle, n, base int) map[uint64]uint
 }
 
 // TestFailoverStandbyTailsAndPromotes is the basic failover path: the standby
-// catches up by tailing, promotion fences the primary, and every acked
+// catches up by tailing (CatchUp, driven here as a group Member drives it
+// every poll), promotion fences the primary, and every acked
 // commit is visible on the promoted oracle with its original commit
 // timestamp — while the old primary can no longer ack anything.
 func TestFailoverStandbyTailsAndPromotes(t *testing.T) {
@@ -62,7 +64,6 @@ func TestFailoverStandbyTailsAndPromotes(t *testing.T) {
 	if err != nil {
 		t.Fatalf("standby: %v", err)
 	}
-	sb.Start(time.Millisecond)
 
 	acked := commitN(t, primary, 300, 0)
 	if err := primary.Checkpoint(); err != nil {
@@ -76,6 +77,9 @@ func TestFailoverStandbyTailsAndPromotes(t *testing.T) {
 	// The tailer catches up without promotion.
 	deadline := time.Now().Add(2 * time.Second)
 	for {
+		if _, err := sb.CatchUp(); err != nil {
+			t.Fatalf("catch up: %v", err)
+		}
 		if n, _ := sb.Applied(); n >= 400 {
 			break
 		}
@@ -176,7 +180,6 @@ func TestFailoverChaosPromotionRace(t *testing.T) {
 	if err != nil {
 		t.Fatalf("standby: %v", err)
 	}
-	sb.Start(time.Millisecond)
 
 	type ack struct{ start, commit uint64 }
 	const workers = 4
@@ -231,6 +234,20 @@ func TestFailoverChaosPromotionRace(t *testing.T) {
 		}(g)
 	}
 
+	// Tail concurrently with the storm, as a group Member's poll loop
+	// does; the tail races the promotion too, which CatchUp must refuse
+	// once the shadow is serving.
+	tailDone := make(chan error, 1)
+	go func() {
+		for {
+			if _, err := sb.CatchUp(); err != nil {
+				tailDone <- err
+				return
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}()
+
 	time.Sleep(20 * time.Millisecond)
 	if err := primary.Checkpoint(); err != nil {
 		t.Fatalf("checkpoint: %v", err)
@@ -240,6 +257,9 @@ func TestFailoverChaosPromotionRace(t *testing.T) {
 	promoted, err := sb.Promote(PromoteConfig{Fence: ledgers, WAL: newWriter(t, wal.NewMemLedger())})
 	if err != nil {
 		t.Fatalf("promote: %v", err)
+	}
+	if err := <-tailDone; err == nil || !strings.Contains(err.Error(), "already promoted") {
+		t.Fatalf("tail after promotion: %v, want already-promoted refusal", err)
 	}
 	// Let workers run a little longer against the fenced primary, then
 	// collect their acks.

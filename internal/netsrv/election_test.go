@@ -3,6 +3,7 @@ package netsrv
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -12,12 +13,13 @@ import (
 )
 
 // startGroupNode fronts one ha.Member with a Server wired the way
-// cmd/oracle-server wires them: OnLead installs the freshly promoted
-// oracle, OnFollow deposes the server back to standby role, and the
-// leader-hint and standby-read hooks delegate to the member.
+// cmd/oracle-server wires them: the server starts in standby role (no
+// oracle), OnLead installs the freshly promoted oracle, OnFollow deposes
+// the server back to standby role, and the leader-hint and standby-read
+// hooks delegate to the member.
 func startGroupNode(t *testing.T, id int, store ha.LedgerStore, lease time.Duration, bootstrap bool) (*Server, *ha.Member, string) {
 	t.Helper()
-	srv := NewStandbyServer(nil)
+	srv := NewServer(nil)
 	srv.Logf = nil
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
@@ -60,9 +62,10 @@ func waitWireLeader(t *testing.T, srvs []*Server, members []*ha.Member, exclude 
 	return -1
 }
 
-// TestLeaseWireRedirectAndStandbyReads: a data op sent to a follower
-// answers codeNotLeader carrying the leaseholder's address, while status
-// queries are served from the follower's standby shadow.
+// TestLeaseWireRedirectAndStandbyReads: health reports the leader as
+// primary and a follower as standby; a data op sent to a follower answers
+// codeNotLeader carrying the leaseholder's address, while status queries
+// are served from the follower's standby shadow.
 func TestLeaseWireRedirectAndStandbyReads(t *testing.T) {
 	store := ha.NewMemStore(3)
 	lease := 100 * time.Millisecond
@@ -84,6 +87,9 @@ func TestLeaseWireRedirectAndStandbyReads(t *testing.T) {
 		t.Fatalf("dial leader: %v", err)
 	}
 	defer lc.Close()
+	if role, err := lc.Health(); err != nil || role != "primary" {
+		t.Fatalf("leader health = %q, %v, want primary", role, err)
+	}
 	ts, err := lc.Begin()
 	if err != nil {
 		t.Fatalf("begin on leader: %v", err)
@@ -139,8 +145,10 @@ func TestLeaseWireRedirectAndStandbyReads(t *testing.T) {
 
 // TestElectionWireFailover: a DialFailover client rides a leader crash —
 // the group elects, the client chases codeNotLeader hints and reconnect
-// backoff to the new leader, every previously acked commit stays resolvable
-// with its original timestamp, and in-doubt settlement respects contexts.
+// backoff to the new leader, whose timestamps continue above the dead
+// epoch; every previously acked commit stays resolvable with its original
+// timestamp on the new leader; the dead leader's oracle, revived behind a
+// server, can no longer commit; and in-doubt settlement respects contexts.
 func TestElectionWireFailover(t *testing.T) {
 	store := ha.NewMemStore(3)
 	lease := 80 * time.Millisecond
@@ -165,10 +173,15 @@ func TestElectionWireFailover(t *testing.T) {
 
 	type ack struct{ start, commit uint64 }
 	var acks []ack
+	var firstBegin uint64 // first timestamp granted after the crash
+	crashed := false
 	commitOne := func(row oracle.RowID) bool {
 		ts, err := c.Begin()
 		if err != nil {
 			return false
+		}
+		if crashed && firstBegin == 0 {
+			firstBegin = ts
 		}
 		res, err := c.Commit(oracle.CommitRequest{StartTS: ts, WriteSet: []oracle.RowID{row}})
 		if err != nil || !res.Committed {
@@ -183,9 +196,14 @@ func TestElectionWireFailover(t *testing.T) {
 		}
 	}
 
+	preCrash := append([]ack(nil), acks...)
+	lastCommit := preCrash[len(preCrash)-1].commit
+
 	// Crash the leader: member and server die together, no handover.
+	oldSO := members[lead].Oracle()
 	members[lead].Stop()
 	srvs[lead].Close()
+	crashed = true
 
 	// The client works through connection loss, stale redirect hints and
 	// the election window; commits must succeed again within a few leases.
@@ -201,7 +219,13 @@ func TestElectionWireFailover(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	waitWireLeader(t, srvs, members, lead, 2*time.Second)
+	newLead := waitWireLeader(t, srvs, members, lead, 2*time.Second)
+	if firstBegin <= lastCommit {
+		t.Fatalf("first post-election timestamp %d not above the dead epoch's commit %d", firstBegin, lastCommit)
+	}
+	if role, err := c.Health(); err != nil || role != "primary" {
+		t.Fatalf("failover client health = %q, %v, want primary", role, err)
+	}
 
 	// Every acked commit — from both sides of the crash — is resolvable
 	// with its original commit timestamp through the same client.
@@ -210,6 +234,50 @@ func TestElectionWireFailover(t *testing.T) {
 		if err != nil || st.Status != oracle.StatusCommitted || st.CommitTS != a.commit {
 			t.Fatalf("acked commit %d lost after failover: %+v, %v", a.start, st, err)
 		}
+	}
+	// The dead epoch's acks are committed on the new leader itself, asked
+	// directly rather than through whatever the failover client follows.
+	nc, err := Dial(addrs[newLead])
+	if err != nil {
+		t.Fatalf("dial new leader: %v", err)
+	}
+	defer nc.Close()
+	if role, err := nc.Health(); err != nil || role != "primary" {
+		t.Fatalf("new leader health = %q, %v, want primary", role, err)
+	}
+	lookups := make([]uint64, len(preCrash))
+	for i, a := range preCrash {
+		lookups[i] = a.start
+	}
+	for i, st := range nc.QueryBatch(lookups) {
+		if st.Status != oracle.StatusCommitted || st.CommitTS != preCrash[i].commit {
+			t.Fatalf("dead-epoch ack %d on new leader: %+v, want committed at %d", preCrash[i].start, st, preCrash[i].commit)
+		}
+	}
+
+	// A late commit through the old leader fails: its oracle, served
+	// again as if the crashed process came back, appends to the sealed
+	// epoch and is fenced.
+	zombie := NewServer(oldSO)
+	zombie.Logf = nil
+	zaddr, err := zombie.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen revived leader: %v", err)
+	}
+	defer zombie.Close()
+	zc, err := Dial(zaddr)
+	if err != nil {
+		t.Fatalf("dial revived leader: %v", err)
+	}
+	defer zc.Close()
+	zts, err := zc.Begin()
+	if err != nil {
+		zts = lastCommit + 1 // the reservation append may already be fenced
+	}
+	if res, err := zc.Commit(oracle.CommitRequest{StartTS: zts, WriteSet: []oracle.RowID{7}}); err == nil {
+		t.Fatalf("old leader acked a late commit after the election: %+v", res)
+	} else if !strings.Contains(err.Error(), wal.ErrFenced.Error()) {
+		t.Fatalf("late commit through the old leader failed with %v, want the fence", err)
 	}
 
 	// Context-aware settlement: an already-expired context fails fast

@@ -39,9 +39,9 @@ const (
 	// opHealth reports the server's role (standby or primary); failover
 	// clients and orchestration use it without touching the oracle.
 	opHealth = 10
-	// opPromote asks a standby server to run its fenced promotion and
-	// begin serving. Idempotent on an already-serving server.
-	opPromote = 11
+	// 11 stays unassigned: an older client's promote request must fail
+	// as an unknown operation, since a group member is promoted only by
+	// winning an election.
 	// The partitioned-oracle ops (internal/partition): phase one and two
 	// of the cross-partition commit protocol, the one-shot fast path at
 	// coordinator-supplied timestamps, and block allocation of timestamps
@@ -74,7 +74,7 @@ const (
 	opMetrics = 22
 )
 
-// Role bytes carried by opHealth / opPromote responses.
+// Role bytes carried by opHealth responses.
 const (
 	roleStandby byte = 0
 	rolePrimary byte = 1

@@ -20,18 +20,12 @@ import (
 // handled concurrently (the commit path blocks on the WAL group commit, so
 // serial handling would needlessly batch latencies); responses carry the
 // request id and may arrive out of order.
-//
-// A server may also start in standby role (NewStandbyServer): it rejects
-// data operations until an opPromote request triggers the supplied
-// promotion callback — typically ha.Standby.Promote, which fences the old
-// primary — and installs the returned oracle.
 type Server struct {
 	so        atomic.Pointer[oracle.StatusOracle]
 	ln        net.Listener
 	coal      atomic.Pointer[coalescer]
 	qcoal     atomic.Pointer[queryCoalescer]
-	promoteFn func() (*oracle.StatusOracle, error)
-	promoteMu sync.Mutex
+	installMu sync.Mutex
 
 	mu     sync.Mutex
 	conns  map[net.Conn]struct{}
@@ -194,7 +188,10 @@ func (s *Server) putCtx(c *handlerCtx) {
 // single commit while waiting for a batch to fill.
 const defaultCoalesceDelay = 200 * time.Microsecond
 
-// NewServer wraps a status oracle for network service.
+// NewServer wraps a status oracle for network service. A nil oracle starts
+// the server in standby role — the shape of a replicated-group member,
+// whose ha.Member installs an oracle when it wins an election (Install)
+// and removes it when it steps down (Depose).
 func NewServer(so *oracle.StatusOracle) *Server {
 	s := &Server{conns: make(map[net.Conn]struct{}), Logf: log.Printf}
 	s.so.Store(so)
@@ -202,18 +199,8 @@ func NewServer(so *oracle.StatusOracle) *Server {
 	return s
 }
 
-// NewStandbyServer creates a server in standby role: every data operation
-// is rejected with ErrStandby until a client issues opPromote, at which
-// point promote runs (fencing the old primary and returning the caught-up
-// oracle) and the server starts serving it.
-func NewStandbyServer(promote func() (*oracle.StatusOracle, error)) *Server {
-	s := &Server{promoteFn: promote, conns: make(map[net.Conn]struct{}), Logf: log.Printf}
-	s.initAnomaly()
-	return s
-}
-
 // ErrStandby is returned (over the wire) for data operations sent to a
-// standby server that has not been promoted yet.
+// server in standby role that has no leader to redirect to.
 var ErrStandby = errors.New("netsrv: standby: not serving until promoted")
 
 // oracle returns the serving oracle, nil while in standby role.
@@ -228,8 +215,8 @@ func (s *Server) Promoted() bool { return s.oracle() != nil }
 // swap fail cleanly (the stopped coalescer rejects parked submits, and the
 // fenced old oracle rejects appends), never serve torn state.
 func (s *Server) Install(so *oracle.StatusOracle) {
-	s.promoteMu.Lock()
-	defer s.promoteMu.Unlock()
+	s.installMu.Lock()
+	defer s.installMu.Unlock()
 	s.stopCoalescers()
 	if so != nil {
 		s.startCoalescers(so)
@@ -244,7 +231,7 @@ func (s *Server) Install(so *oracle.StatusOracle) {
 func (s *Server) Depose() { s.Install(nil) }
 
 // stopCoalescers detaches and stops the running coalescers; submits parked
-// in them fail with ErrServerClosed. Caller holds promoteMu (or is Close,
+// in them fail with ErrServerClosed. Caller holds installMu (or is Close,
 // after the handler drain).
 func (s *Server) stopCoalescers() {
 	if c := s.coal.Swap(nil); c != nil {
@@ -510,7 +497,7 @@ func (w *connWriter) send(body []byte) error {
 }
 
 // isDataOp reports whether op is a data-plane operation the admission gate
-// applies to; control-plane ops (health, promote, stats, routing, range
+// applies to; control-plane ops (health, stats, routing, range
 // migration, subscribe) bypass admission so operability survives overload.
 func isDataOp(op byte) bool {
 	switch op {
@@ -716,11 +703,9 @@ func (s *Server) handle(ctx *handlerCtx, reqID uint64, op byte, payload []byte, 
 			role = rolePrimary
 		}
 		return append(ok, role)
-	case opPromote:
-		return s.handlePromote(reqID)
 	case opMetrics:
 		// Served even in standby role: the registry's netsrv samples (and
-		// the dynamic oracle source, once promoted) are always gatherable.
+		// the dynamic oracle source, once installed) are always gatherable.
 		return metrics.AppendSamples(ok, s.Registry().Gather())
 	}
 	if so == nil {
@@ -1071,30 +1056,6 @@ func respOwnership(reqID uint64, err error) []byte {
 		return appendRoutingPayload(body, mr.Epoch, mr.Spec)
 	}
 	return respError(reqID, err)
-}
-
-// handlePromote runs the standby's promotion callback (fencing the old
-// primary) and installs the returned oracle. Idempotent: promoting an
-// already-serving server succeeds without side effects.
-func (s *Server) handlePromote(reqID uint64) []byte {
-	s.promoteMu.Lock()
-	defer s.promoteMu.Unlock()
-	if s.oracle() != nil {
-		return respOK(reqID, []byte{rolePrimary})
-	}
-	if s.promoteFn == nil {
-		return respError(reqID, errors.New("netsrv: server has no standby to promote"))
-	}
-	so, err := s.promoteFn()
-	if err != nil {
-		return respError(reqID, err)
-	}
-	// Coalescers must exist before the oracle becomes visible: handlers
-	// pick the coalesced path by loading the pointers after seeing the
-	// oracle.
-	s.startCoalescers(so)
-	s.so.Store(so)
-	return respOK(reqID, []byte{rolePrimary})
 }
 
 // streamEvents acknowledges the subscription and forwards the oracle's

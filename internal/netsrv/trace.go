@@ -99,7 +99,7 @@ func (s *Server) initRegistry() {
 		}
 	})
 	s.reg.Register(func(emit func(metrics.Sample)) {
-		// Resolved per gather: a standby has no oracle until promoted.
+		// Resolved per gather: a standby has no oracle until it is installed.
 		if so := s.oracle(); so != nil {
 			so.MetricsSource()(emit)
 		}

@@ -1,7 +1,10 @@
 package oracle
 
 import (
+	"encoding/binary"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
@@ -229,6 +232,66 @@ func TestRecoverStateResumesTimestampEpoch(t *testing.T) {
 		if st != want {
 			t.Fatalf("status of %d diverged after recovery: %+v vs %+v", start, st, want)
 		}
+	}
+}
+
+// TestRecoverStateAfterZeroFilledTornTail: a crash that persisted a WAL
+// batch's header and the file's size extension but not its body leaves a
+// zero-filled final batch. It was never acked, so restart must drop it and
+// recover the acked commit before it, not fail replay on the zeros.
+func TestRecoverStateAfterZeroFilledTornTail(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wal.log")
+	ledger, err := wal.OpenFileLedger(path, true)
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	w := newCheckpointTestWriter(t, ledger)
+	so, err := New(Config{Engine: WSI, WAL: w, TSO: tso.New(50, w)})
+	if err != nil {
+		t.Fatalf("new: %v", err)
+	}
+	ts, err := so.Begin()
+	if err != nil {
+		t.Fatalf("begin: %v", err)
+	}
+	res, err := so.Commit(CommitRequest{StartTS: ts, WriteSet: []RowID{1}})
+	if err != nil || !res.Committed {
+		t.Fatalf("commit: %+v, %v", res, err)
+	}
+	w.Close()
+	ledger.Close()
+
+	torn := make([]byte, 8+64)
+	binary.BigEndian.PutUint64(torn, 64)
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatalf("open raw: %v", err)
+	}
+	if _, err := f.Write(torn); err != nil {
+		t.Fatalf("write torn tail: %v", err)
+	}
+	f.Close()
+
+	ledger2, err := wal.OpenFileLedger(path, true)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer ledger2.Close()
+	w2 := newCheckpointTestWriter(t, ledger2)
+	defer w2.Close()
+	recovered, _, err := RecoverState(Config{Engine: WSI}, ledger2, w2, 50)
+	if err != nil {
+		t.Fatalf("recover state: %v", err)
+	}
+	if st := recovered.Query(ts); st.Status != StatusCommitted || st.CommitTS != res.CommitTS {
+		t.Fatalf("acked commit after torn-tail recovery: %+v, want committed at %d", st, res.CommitTS)
+	}
+	ts2, err := recovered.Begin()
+	if err != nil {
+		t.Fatalf("begin after recovery: %v", err)
+	}
+	if res2, err := recovered.Commit(CommitRequest{StartTS: ts2, WriteSet: []RowID{2}}); err != nil || !res2.Committed {
+		t.Fatalf("commit after recovery: %+v, %v", res2, err)
 	}
 }
 

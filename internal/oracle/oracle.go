@@ -84,7 +84,7 @@ const (
 	// with zero pointer chasing and zero steady-state allocation.
 	TableOpen TableKind = iota
 	// TableMap keeps the original map[RowID]uint64 shard, retained as the
-	// reference implementation behind this flag; the equivalence tests
+	// reference implementation behind Config.Table; the equivalence tests
 	// prove the two backends produce bit-identical decisions.
 	TableMap
 )
@@ -97,19 +97,6 @@ func (k TableKind) String() string {
 		return "map"
 	default:
 		return fmt.Sprintf("TableKind(%d)", uint8(k))
-	}
-}
-
-// ParseTableKind parses "open" or "map" (the -table flag of
-// cmd/oracle-server).
-func ParseTableKind(s string) (TableKind, error) {
-	switch s {
-	case "open", "":
-		return TableOpen, nil
-	case "map":
-		return TableMap, nil
-	default:
-		return 0, fmt.Errorf("oracle: unknown table kind %q (want open or map)", s)
 	}
 }
 

@@ -227,6 +227,14 @@ func OpenFileLedgerReader(path string) (*FileLedger, error) {
 // scan indexes batches from the current end of the index onward. Writers
 // truncate a torn tail write; readers leave it for a later Refresh (the
 // writer may simply not have finished it yet).
+//
+// A tail is torn either short (the header promises more bytes than the
+// file holds) or in place: a crash can persist the header and the file's
+// size extension but not the body, which then reads back as zeros. A
+// writer therefore decodes the final batch it indexed and drops it when
+// it is invalid — it was never acked, because acks wait for the batch's
+// fsync. An invalid batch before the tail is not a torn write; it stays
+// indexed and fails recovery loudly.
 func (l *FileLedger) scan() error {
 	info, err := l.f.Stat()
 	if err != nil {
@@ -234,6 +242,7 @@ func (l *FileLedger) scan() error {
 	}
 	size := info.Size()
 	off := l.end
+	first := len(l.offsets)
 	var hdr [8]byte
 	for off+8 <= size {
 		if _, err := l.f.ReadAt(hdr[:], off); err != nil {
@@ -261,10 +270,21 @@ func (l *FileLedger) scan() error {
 		l.sizes = append(l.sizes, int64(n))
 		off += 8 + int64(n)
 	}
-	l.end = off
 	if l.reader {
+		l.end = off
 		return nil
 	}
+	if last := len(l.offsets) - 1; !l.sealed && last >= first {
+		buf := make([]byte, l.sizes[last])
+		if _, err := l.f.ReadAt(buf, l.offsets[last]); err != nil {
+			return err
+		}
+		if _, err := DecodeBatch(buf); err != nil {
+			off = l.offsets[last] - 8
+			l.offsets, l.sizes = l.offsets[:last], l.sizes[:last]
+		}
+	}
+	l.end = off
 	return l.f.Truncate(off)
 }
 

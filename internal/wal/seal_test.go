@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bytes"
 	"errors"
 	"path/filepath"
 	"testing"
@@ -57,7 +58,7 @@ func TestFileLedgerSealIsDurableAndCrossProcess(t *testing.T) {
 		t.Fatalf("open: %v", err)
 	}
 	defer primary.Close()
-	if _, err := primary.AppendBatch([]byte("batch-0")); err != nil {
+	if _, err := primary.AppendBatch(frame("batch-0")); err != nil {
 		t.Fatalf("append: %v", err)
 	}
 
@@ -73,7 +74,7 @@ func TestFileLedgerSealIsDurableAndCrossProcess(t *testing.T) {
 
 	// The primary's handle knows nothing of the seal — its next append
 	// must discover the marker and fail.
-	if _, err := primary.AppendBatch([]byte("batch-1")); !errors.Is(err, ErrSealed) {
+	if _, err := primary.AppendBatch(frame("batch-1")); !errors.Is(err, ErrSealed) {
 		t.Fatalf("append through fenced handle = %v, want ErrSealed", err)
 	}
 	if !primary.Sealed() {
@@ -92,7 +93,7 @@ func TestFileLedgerSealIsDurableAndCrossProcess(t *testing.T) {
 	if n, _ := reopened.NumBatches(); n != 1 {
 		t.Fatalf("reopened ledger has %d batches, want 1", n)
 	}
-	if b, err := reopened.ReadBatch(0); err != nil || string(b) != "batch-0" {
+	if b, err := reopened.ReadBatch(0); err != nil || !bytes.Equal(b, frame("batch-0")) {
 		t.Fatalf("batch 0 = %q, %v", b, err)
 	}
 }

@@ -38,6 +38,10 @@ var (
 	ErrClosed       = errors.New("wal: writer closed")
 	ErrQuorumFailed = errors.New("wal: quorum of ledgers failed")
 	ErrCorrupt      = errors.New("wal: corrupt entry")
+	// ErrEmptyEntry rejects a zero-length append: a zero-length frame is
+	// indistinguishable from zero-filled disk (CRC32 of nothing is 0), so
+	// the log never holds one.
+	ErrEmptyEntry = errors.New("wal: empty entry")
 	// ErrSealed is returned by a sealed ledger's AppendBatch. Sealing is
 	// the BookKeeper-style fence a promoting standby applies before it
 	// serves: no writer can extend a sealed ledger.
@@ -231,6 +235,9 @@ func (w *Writer) maybeFlushLocked() {
 // into the batch buffer before AppendAsync returns, so the caller may reuse
 // its buffer immediately.
 func (w *Writer) AppendAsync(entry []byte) (<-chan error, error) {
+	if len(entry) == 0 {
+		return nil, ErrEmptyEntry
+	}
 	done := make(chan error, 1)
 	w.mu.Lock()
 	if w.closed {
@@ -257,6 +264,11 @@ func (w *Writer) AppendAsync(entry []byte) (<-chan error, error) {
 func (w *Writer) AppendAll(entries ...[]byte) error {
 	if len(entries) == 0 {
 		return nil
+	}
+	for _, entry := range entries {
+		if len(entry) == 0 {
+			return ErrEmptyEntry
+		}
 	}
 	done := make(chan error, 1)
 	w.mu.Lock()
@@ -336,6 +348,8 @@ func appendEntryFrame(buf, entry []byte) []byte {
 }
 
 // DecodeBatch splits a batch payload back into entries, verifying CRCs.
+// A zero-length frame is corrupt: the writer never produces one, and it is
+// what zero-filled bytes of a torn write decode as.
 func DecodeBatch(batch []byte) ([][]byte, error) {
 	var entries [][]byte
 	for len(batch) > 0 {
@@ -344,6 +358,9 @@ func DecodeBatch(batch []byte) ([][]byte, error) {
 		}
 		n := binary.BigEndian.Uint32(batch[0:4])
 		sum := binary.BigEndian.Uint32(batch[4:8])
+		if n == 0 {
+			return nil, fmt.Errorf("%w: zero-length frame", ErrCorrupt)
+		}
 		batch = batch[frameOverhead:]
 		if uint32(len(batch)) < n {
 			return nil, fmt.Errorf("%w: truncated entry body", ErrCorrupt)

@@ -2,14 +2,20 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"sync"
 	"testing"
 	"testing/quick"
 	"time"
 )
+
+// frame wraps s as a one-entry batch payload, the shape a Writer hands its
+// ledgers: a FileLedger discards a final batch that does not decode.
+func frame(s string) []byte { return appendEntryFrame(nil, []byte(s)) }
 
 func newTestWriter(t *testing.T, cfg Config, n int) (*Writer, []*MemLedger) {
 	t.Helper()
@@ -175,6 +181,11 @@ func TestDecodeBatchTruncation(t *testing.T) {
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	prop := func(payloads [][]byte) bool {
+		// Entries are never empty (the writer refuses them), so extend
+		// the generated ones by a byte.
+		for i := range payloads {
+			payloads[i] = append(payloads[i], byte(i))
+		}
 		var batch []byte
 		for _, p := range payloads {
 			batch = appendEntryFrame(batch, p)
@@ -276,7 +287,7 @@ func TestFileLedgerRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		if _, err := l.AppendBatch([]byte(fmt.Sprintf("batch-%d", i))); err != nil {
+		if _, err := l.AppendBatch(frame(fmt.Sprintf("batch-%d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -293,34 +304,125 @@ func TestFileLedgerRoundTrip(t *testing.T) {
 		t.Fatalf("reopened ledger has %d batches, want 5", n)
 	}
 	b, err := l2.ReadBatch(3)
-	if err != nil || string(b) != "batch-3" {
+	if err != nil || !bytes.Equal(b, frame("batch-3")) {
 		t.Fatalf("ReadBatch(3) = %q, %v", b, err)
 	}
 }
 
+// TestFileLedgerTornTail: a writer reopening the file drops and truncates
+// a torn final batch, whether the crash left it short (the header promises
+// more bytes than exist) or zero-filled (the header and the file's size
+// extension reached the disk, the body did not).
 func TestFileLedgerTornTail(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "wal.log")
-	l, err := OpenFileLedger(path, false)
+	torn := map[string][]byte{
+		"short":       {0, 0, 0, 0, 0, 0, 0, 99, 'x'},
+		"zero-filled": fileRecord(make([]byte, 64)),
+	}
+	for name, tail := range torn {
+		t.Run(name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "wal.log")
+			l, err := OpenFileLedger(path, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := l.AppendBatch(frame("complete")); err != nil {
+				t.Fatal(err)
+			}
+			intact := l.end
+			l.Close()
+			appendRaw(t, path, tail)
+
+			l2, err := OpenFileLedger(path, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer l2.Close()
+			if n, _ := l2.NumBatches(); n != 1 {
+				t.Fatalf("torn tail not discarded: %d batches", n)
+			}
+			if info, err := os.Stat(path); err != nil || info.Size() != intact {
+				t.Fatalf("torn tail not truncated: %v, want size %d", err, intact)
+			}
+			// Appends resume where the intact log ends.
+			if _, err := l2.AppendBatch(frame("next")); err != nil {
+				t.Fatal(err)
+			}
+			if b, err := l2.ReadBatch(1); err != nil || !bytes.Equal(b, frame("next")) {
+				t.Fatalf("batch after truncation = %q, %v", b, err)
+			}
+		})
+	}
+}
+
+// appendRaw appends bytes to a ledger file behind the ledger's back, the
+// way a crash leaves them.
+func appendRaw(t *testing.T, path string, b []byte) {
+	t.Helper()
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.AppendBatch([]byte("complete")); err != nil {
+	if _, err := f.Write(b); err != nil {
 		t.Fatal(err)
 	}
-	// Simulate a torn write: header promising more bytes than exist.
-	if _, err := l.f.WriteAt([]byte{0, 0, 0, 0, 0, 0, 0, 99, 'x'}, l.end); err != nil {
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// fileRecord is a batch as a FileLedger stores it: an 8-byte length, then
+// the payload.
+func fileRecord(payload []byte) []byte {
+	b := binary.BigEndian.AppendUint64(nil, uint64(len(payload)))
+	return append(b, payload...)
+}
+
+// TestFileLedgerKeepsCorruptInnerBatch: an invalid batch before the tail is
+// not a torn write — it stays indexed and replay fails loudly instead of
+// skipping it.
+func TestFileLedgerKeepsCorruptInnerBatch(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wal.log")
+	l, err := OpenFileLedger(path, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.AppendBatch(frame("first")); err != nil {
 		t.Fatal(err)
 	}
 	l.Close()
+	appendRaw(t, path, fileRecord(make([]byte, 64)))
+	appendRaw(t, path, fileRecord(frame("last")))
 
-	l2, err := OpenFileLedger(path, false)
+	l2, err := OpenFileLedger(path, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l2.Close()
-	n, _ := l2.NumBatches()
-	if n != 1 {
-		t.Fatalf("torn tail not discarded: %d batches", n)
+	if n, _ := l2.NumBatches(); n != 3 {
+		t.Fatalf("reopened ledger has %d batches, want 3", n)
+	}
+	if err := Replay(l2, func([]byte) error { return nil }); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("replay over a corrupt inner batch = %v, want ErrCorrupt", err)
+	}
+}
+
+// TestWriterRefusesEmptyEntry: the writer never frames a zero-length entry,
+// and DecodeBatch treats one (what zero-filled bytes decode as) as corrupt.
+func TestWriterRefusesEmptyEntry(t *testing.T) {
+	w, ledgers := newTestWriter(t, Config{BatchBytes: 64, BatchDelay: time.Millisecond}, 1)
+	defer w.Close()
+	if err := w.Append(nil); !errors.Is(err, ErrEmptyEntry) {
+		t.Fatalf("Append(nil) = %v, want ErrEmptyEntry", err)
+	}
+	if err := w.AppendAll([]byte("x"), []byte{}); !errors.Is(err, ErrEmptyEntry) {
+		t.Fatalf("AppendAll with an empty entry = %v, want ErrEmptyEntry", err)
+	}
+	w.Flush()
+	if n, _ := ledgers[0].NumBatches(); n != 0 {
+		t.Fatalf("refused entries reached the ledger: %d batches", n)
+	}
+	if _, err := DecodeBatch(make([]byte, 64)); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("DecodeBatch(zeros) = %v, want ErrCorrupt", err)
 	}
 }
 
