@@ -279,10 +279,10 @@ func logStats(reg *metrics.Registry) {
 		}
 		return 0
 	}
+	st, _ := oracle.StatsFromSamples(samples) // zero while following: no oracle installed
 	log.Printf("oracle-server: stats commits=%d aborts=%d queries=%d batches=%d sessions=%d",
-		get("oracle_commits_total"),
-		get("oracle_conflict_aborts_total")+get("oracle_tmax_aborts_total")+get("oracle_explicit_aborts_total"),
-		get("oracle_queries_total"), get("oracle_commit_batches_total"), get("netsrv_sessions"))
+		st.Commits, st.ConflictAborts+st.TmaxAborts+st.ExplicitAborts,
+		st.Queries, st.Batches, get("netsrv_sessions"))
 	if get("history_txns_sampled_total") > 0 {
 		log.Printf("oracle-server: anomalies write_skew=%d lost_update=%d dirty_read=%d fuzzy_read=%d snapshot=%d nonmonotone=%d double_decide=%d (sampled=%d window=%d)",
 			get("history_write_skew_total"), get("history_lost_update_total"),

@@ -363,20 +363,18 @@ func ingressOverload(offeredTPS float64, shedding bool, measure time.Duration) (
 		return ingressPhase{}, err
 	}
 	defer c.Close()
-	base, err := c.Stats()
+	base, err := c.Metrics()
 	if err != nil {
 		return ingressPhase{}, err
 	}
 	measuring.Store(true)
 	time.Sleep(measure)
 	measuring.Store(false)
-	st, err := c.Stats()
+	end, err := c.Metrics()
 	if err != nil {
 		return ingressPhase{}, err
 	}
-	if samples, err := c.Metrics(); err == nil {
-		ph.SrvTenants = tenantBreakdown(samples)
-	}
+	ph.SrvTenants = tenantBreakdown(end)
 	stop.Do(func() { close(stopped) })
 	wg.Wait()
 
@@ -390,11 +388,14 @@ func ingressOverload(offeredTPS float64, shedding bool, measure time.Duration) (
 		ph.P99Ms = latencies[n-1-n/100]
 		ph.MaxMs = latencies[n-1]
 	}
-	ph.SrvAdmitted = st.IngressAdmitted - base.IngressAdmitted
-	ph.SrvShed = st.IngressShed - base.IngressShed
-	ph.SrvExpired = st.IngressExpired - base.IngressExpired
-	ph.Sessions = st.Sessions
-	ph.QueueP99 = st.QueueDepthP99
+	delta := func(family string) int64 {
+		return int64(metrics.Sum(end, family) - metrics.Sum(base, family))
+	}
+	ph.SrvAdmitted = delta("netsrv_ingress_admitted_total")
+	ph.SrvShed = delta("netsrv_ingress_shed_total")
+	ph.SrvExpired = delta("netsrv_ingress_expired_total")
+	ph.Sessions = int64(metrics.Sum(end, "netsrv_sessions"))
+	ph.QueueP99 = int64(metrics.Sum(end, "netsrv_queue_depth_p99"))
 	return ph, nil
 }
 

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/netsrv"
 	"repro/internal/oracle"
 	"repro/internal/tso"
@@ -250,21 +251,26 @@ func init() {
 			fmt.Fprintf(&b, "\nserver-side query coalescing (opQuery clients, coalesce=64): %.0f lookups/s,\n", ctps)
 			fmt.Fprintf(&b, "oracle-observed avg query batch %.1f\n", coalAvg)
 
-			// Surface the oracle's read counters through the wire stats
-			// op, as cmd/bench output.
+			// Surface the oracle's read counters and the server's frame
+			// pool through the wire metrics registry, as cmd/bench output.
 			statsConn, err := netsrv.Dial(addr)
 			if err != nil {
 				return "", err
 			}
 			defer statsConn.Close()
-			st, err := statsConn.Stats()
+			samples, err := statsConn.Metrics()
+			if err != nil {
+				return "", err
+			}
+			st, err := oracle.StatsFromSamples(samples)
 			if err != nil {
 				return "", err
 			}
 			fmt.Fprintf(&b, "\noracle read counters: Queries=%d QueryBatches=%d QueryBatchSizeAvg=%.1f\n",
 				st.Queries, st.QueryBatches, st.QueryBatchSizeAvg)
-			fmt.Fprintf(&b, "allocation discipline: TableLoadFactor=%.2f Rehashes=%d PooledFrameHits=%d PooledFrameMisses=%d\n",
-				st.TableLoadFactor, st.Rehashes, st.PooledFrameHits, st.PooledFrameMisses)
+			fmt.Fprintf(&b, "allocation discipline: TableLoadFactor=%.2f Rehashes=%d PooledFrameHits=%.0f PooledFrameMisses=%.0f\n",
+				st.TableLoadFactor, st.Rehashes,
+				metrics.Sum(samples, "netsrv_pooled_frame_hits_total"), metrics.Sum(samples, "netsrv_pooled_frame_misses_total"))
 			b.WriteString("\nbatching amortizes frames, syscalls and commit-table lock passes across\n")
 			b.WriteString("lookups; speedup is relative to the unbatched (batch=1) per-key opQuery row.\n")
 			return b.String(), nil

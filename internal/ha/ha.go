@@ -50,7 +50,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/metrics"
 	"repro/internal/oracle"
 	"repro/internal/tso"
 	"repro/internal/wal"
@@ -354,18 +353,4 @@ func (s *Standby) Promote(pc PromoteConfig) (*oracle.StatusOracle, error) {
 	}
 	s.promoted = true
 	return s.shadow, nil
-}
-
-// MetricsSource adapts the standby's tailing progress to the metrics
-// registry: records applied, the TSO bound the shadow has reached, and
-// how far it lags the ledger.
-func (s *Standby) MetricsSource() metrics.Source {
-	return func(emit func(metrics.Sample)) {
-		records, bound := s.Applied()
-		emit(metrics.C("ha_standby_applied_records", records))
-		emit(metrics.G("ha_standby_tso_bound", float64(bound)))
-		if lag, err := s.Lag(); err == nil {
-			emit(metrics.G("ha_standby_lag_records", float64(lag)))
-		}
-	}
 }

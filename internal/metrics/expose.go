@@ -25,6 +25,26 @@ func withLabel(family, labels, extra string) string {
 	return family + "{" + labels + "," + extra + "}"
 }
 
+// Sum totals the counter and gauge series of one family — the unlabeled
+// sample and every labeled `family{...}` one — so a reader can add up a
+// per-tenant breakdown without knowing its label sets. Absent families sum
+// to 0.
+func Sum(samples []Sample, family string) float64 {
+	var total float64
+	for _, s := range samples {
+		if f, _ := splitName(s.Name); f != family {
+			continue
+		}
+		switch s.Kind {
+		case KindCounter:
+			total += float64(s.Value)
+		case KindGauge:
+			total += s.Gauge
+		}
+	}
+	return total
+}
+
 // WritePrometheus renders samples (as returned by Registry.Gather or
 // DecodeSamples, i.e. family-major sorted) in the Prometheus text
 // exposition format — one TYPE header per contiguous family. Histograms

@@ -211,6 +211,24 @@ func TestRegistryGather(t *testing.T) {
 	}
 }
 
+// TestSumFamily totals one family across its label sets and leaves
+// families that merely share a prefix out.
+func TestSumFamily(t *testing.T) {
+	samples := []Sample{
+		C(`a_total{tenant="0"}`, 2),
+		C(`a_total{tenant="1"}`, 3),
+		C("a_total_more", 100),
+		G("a_total", 0.5),
+		G("b_gauge", 4),
+	}
+	if got := Sum(samples, "a_total"); got != 5.5 {
+		t.Fatalf("Sum(a_total) = %v, want 5.5", got)
+	}
+	if got := Sum(samples, "missing"); got != 0 {
+		t.Fatalf("Sum(missing) = %v, want 0", got)
+	}
+}
+
 // TestSampleWireRoundTrip encodes every kind and decodes it back.
 func TestSampleWireRoundTrip(t *testing.T) {
 	var h Histogram

@@ -8,8 +8,8 @@ import (
 
 // Wire encoding for a gathered sample set. The format is self-describing so
 // the metric set can grow (or shrink, or reorder) without ever breaking wire
-// compatibility — the failure mode that forced every prior PR to hand-widen
-// the positional opStats payload in lockstep on both ends:
+// compatibility, so no change ever has to widen a positional payload in
+// lockstep on both ends:
 //
 //	u32  sample count
 //	per sample:

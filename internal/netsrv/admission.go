@@ -58,8 +58,8 @@ const depthBuckets = 32
 
 // tenantQ is one tenant's admission state. The verdict counters and the
 // queue-depth histogram live here, per tenant, so the ingress breakdown the
-// operator sees is keyed by admission class; the aggregate opStats fields
-// are computed by summing on read. The hot path still pays exactly one
+// operator sees is keyed by admission class; a reader wanting a server-wide
+// total sums the per-tenant series. The hot path still pays exactly one
 // atomic add per verdict.
 type tenantQ struct {
 	bucket  tokenBucket
@@ -253,19 +253,6 @@ func (a *admitter) close() {
 	a.mu.Unlock()
 }
 
-// totals sums the per-tenant verdict counters into the aggregates the frozen
-// opStats payload carries.
-func (a *admitter) totals() (admitted, shed, rateLimited, expired int64) {
-	for i := range a.tenants {
-		t := &a.tenants[i]
-		admitted += t.admitted.Load()
-		shed += t.shed.Load()
-		rateLimited += t.rateLimited.Load()
-		expired += t.expired.Load()
-	}
-	return
-}
-
 // depthQuantile computes the q-quantile of a power-of-two depth histogram
 // (bucket lower bounds).
 func depthQuantile(counts *[depthBuckets]int64, q float64) int64 {
@@ -293,44 +280,28 @@ func depthQuantile(counts *[depthBuckets]int64, q float64) int64 {
 	return int64(1) << (depthBuckets - 1)
 }
 
-// tenantDepth loads tenant i's depth histogram into counts.
-func (a *admitter) tenantDepth(i int, counts *[depthBuckets]int64) {
-	t := &a.tenants[i]
-	for j := range t.depthHist {
-		counts[j] = t.depthHist[j].Load()
-	}
-}
-
-// depthP99 computes the 99th percentile of the admission queue depth over
-// all tenants' samples (bucket lower bounds, power-of-two resolution) — the
-// aggregate the frozen opStats payload carries.
-func (a *admitter) depthP99() int64 {
-	var counts [depthBuckets]int64
-	for i := range a.tenants {
-		t := &a.tenants[i]
-		for j := range t.depthHist {
-			counts[j] += t.depthHist[j].Load()
-		}
-	}
-	return depthQuantile(&counts, 0.99)
-}
-
-// metricsInto emits the per-tenant ingress breakdown: verdict counters and
-// queue-depth quantiles, one series per tenant, labeled by admission class.
-// Gather-time only — never on the admit path.
+// metricsInto emits the per-tenant ingress breakdown — verdict counters and
+// queue-depth quantiles, one series per tenant, labeled by admission class —
+// and netsrv_queue_depth_p99, the queue-depth p99 over every tenant's
+// samples. Gather-time only — never on the admit path.
 func (a *admitter) metricsInto(emit func(metrics.Sample)) {
-	var counts [depthBuckets]int64
+	var all [depthBuckets]int64
 	for i := range a.tenants {
 		t := &a.tenants[i]
+		var counts [depthBuckets]int64
+		for j := range t.depthHist {
+			counts[j] = t.depthHist[j].Load()
+			all[j] += counts[j]
+		}
 		label := `{tenant="` + strconv.Itoa(i) + `"}`
 		emit(metrics.C("netsrv_ingress_admitted_total"+label, t.admitted.Load()))
 		emit(metrics.C("netsrv_ingress_shed_total"+label, t.shed.Load()))
 		emit(metrics.C("netsrv_ingress_rate_limited_total"+label, t.rateLimited.Load()))
 		emit(metrics.C("netsrv_ingress_expired_total"+label, t.expired.Load()))
-		a.tenantDepth(i, &counts)
 		emit(metrics.G("netsrv_ingress_queue_depth_p50"+label, float64(depthQuantile(&counts, 0.50))))
 		emit(metrics.G("netsrv_ingress_queue_depth_p99"+label, float64(depthQuantile(&counts, 0.99))))
 	}
+	emit(metrics.G("netsrv_queue_depth_p99", float64(depthQuantile(&all, 0.99))))
 }
 
 // tokenBucket is a mutex-guarded token bucket: take() refills

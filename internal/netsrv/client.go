@@ -711,15 +711,17 @@ func (c *Client) Forget(startTS uint64) {
 	}
 }
 
-// Stats fetches the server-side oracle counters over the frozen positional
-// opStats payload — the legacy shim kept for old clients. New telemetry is
-// not added here; use Metrics.
+// Stats fetches the server's oracle counters: Metrics, parsed by
+// oracle.StatsFromSamples. A server with no installed oracle (a group
+// follower) yields an error, not a zero Stats that reads as an idle oracle.
+// Implements partition.Backend, so a coordinator's rebalancer receives
+// remote SliceLoads this way.
 func (c *Client) Stats() (oracle.Stats, error) {
-	payload, err := c.call(opStats, nil)
+	samples, err := c.Metrics()
 	if err != nil {
 		return oracle.Stats{}, err
 	}
-	return decodeStats(payload)
+	return oracle.StatsFromSamples(samples)
 }
 
 // Metrics gathers the server's self-describing metrics registry: every

@@ -9,8 +9,8 @@ import (
 	"repro/internal/wal"
 )
 
-// TestFailoverStatsCarriesAvailabilityCounters: the widened opStats payload round-
-// trips the checkpoint/recovery fields.
+// TestFailoverStatsCarriesAvailabilityCounters: Client.Stats, read off the
+// server's metrics registry, round-trips the checkpoint/recovery fields.
 func TestFailoverStatsCarriesAvailabilityCounters(t *testing.T) {
 	ledger := wal.NewMemLedger()
 	w, err := wal.NewWriter(wal.Config{BatchBytes: 512, BatchDelay: time.Millisecond}, ledger)

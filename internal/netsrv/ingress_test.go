@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/oracle"
 	"repro/internal/tso"
 )
@@ -72,20 +73,15 @@ func TestOverloadAdmitterBasics(t *testing.T) {
 	if inflight != 0 {
 		t.Fatalf("inflight = %d after all releases, want 0", inflight)
 	}
-	admitted, shed, _, expired := a.totals()
-	if admitted != 2 {
-		t.Fatalf("admitted = %d, want 2", admitted)
+	tq := &a.tenants[0]
+	if got := tq.admitted.Load(); got != 2 {
+		t.Fatalf("admitted = %d, want 2", got)
 	}
-	if shed != 1 {
-		t.Fatalf("shed = %d, want 1", shed)
+	if got := tq.shed.Load(); got != 1 {
+		t.Fatalf("shed = %d, want 1", got)
 	}
-	if expired != 1 {
-		t.Fatalf("expired = %d, want 1", expired)
-	}
-	// The same counts must surface per tenant (everything above was
-	// tenant 0).
-	if got := a.tenants[0].admitted.Load(); got != 2 {
-		t.Fatalf("tenant 0 admitted = %d, want 2", got)
+	if got := tq.expired.Load(); got != 1 {
+		t.Fatalf("expired = %d, want 1", got)
 	}
 }
 
@@ -210,18 +206,20 @@ func TestOverloadMuxSessions(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	st, err := c.Stats()
+	samples, err := c.Metrics()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Sessions != sessions {
-		t.Fatalf("Sessions gauge = %d, want %d", st.Sessions, sessions)
+	if got := metrics.Sum(samples, "netsrv_sessions"); got != sessions {
+		t.Fatalf("netsrv_sessions = %v, want %d", got, sessions)
 	}
-	if want := int64(sessions * 20 * 3); st.IngressAdmitted != want {
-		t.Fatalf("IngressAdmitted = %d, want %d", st.IngressAdmitted, want)
+	if got, want := metrics.Sum(samples, "netsrv_ingress_admitted_total"), float64(sessions*20*3); got != want {
+		t.Fatalf("netsrv_ingress_admitted_total = %v, want %v", got, want)
 	}
-	if st.IngressShed != 0 || st.IngressRateLimited != 0 || st.IngressExpired != 0 {
-		t.Fatalf("unexpected shedding under no overload: %+v", st)
+	for _, family := range []string{"netsrv_ingress_shed_total", "netsrv_ingress_rate_limited_total", "netsrv_ingress_expired_total"} {
+		if got := metrics.Sum(samples, family); got != 0 {
+			t.Fatalf("unexpected shedding under no overload: %s = %v", family, got)
+		}
 	}
 }
 
@@ -387,12 +385,12 @@ func TestOverloadShedQueueFull(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	st, err := c.Stats()
+	samples, err := c.Metrics()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.IngressShed != int64(shed) {
-		t.Fatalf("IngressShed = %d, want %d", st.IngressShed, shed)
+	if got := metrics.Sum(samples, "netsrv_ingress_shed_total"); got != float64(shed) {
+		t.Fatalf("netsrv_ingress_shed_total = %v, want %d", got, shed)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -103,6 +104,30 @@ func TestStatsOverNetwork(t *testing.T) {
 	}
 }
 
+// TestStatsWithoutOracle: a server with no installed oracle (a group
+// follower) has no oracle samples in its registry, and Client.Stats must
+// say so rather than report a zero Stats that reads as an idle oracle.
+func TestStatsWithoutOracle(t *testing.T) {
+	srv := NewServer(nil)
+	srv.Logf = nil
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.Metrics(); err != nil {
+		t.Fatalf("metrics must be served without an oracle: %v", err)
+	}
+	if st, err := c.Stats(); err == nil {
+		t.Fatalf("Stats without an oracle = %+v, want an error", st)
+	}
+}
+
 func TestPipelinedConcurrentCalls(t *testing.T) {
 	_, c := startServer(t, oracle.WSI)
 	const callers = 32
@@ -184,11 +209,17 @@ func TestClientFailsPendingOnServerClose(t *testing.T) {
 
 func TestRemoteErrorPropagates(t *testing.T) {
 	_, c := startServer(t, oracle.WSI)
-	// Hand-craft an unknown op.
-	if _, err := c.call(0xEE, nil); err == nil {
-		t.Fatal("unknown op must yield an error")
-	} else if _, ok := err.(remoteError); !ok {
-		t.Fatalf("err = %T %v, want remoteError", err, err)
+	// Hand-craft unknown ops: a never-assigned code, and the retired
+	// codes 7 (positional stats) and 11 (manual promote), which an older
+	// client may still send.
+	for _, op := range []byte{0xEE, 7, 11} {
+		_, err := c.call(op, nil)
+		if err == nil {
+			t.Fatalf("op %d must yield an error", op)
+		}
+		if _, ok := err.(remoteError); !ok || !strings.Contains(err.Error(), "unknown operation") {
+			t.Fatalf("op %d: err = %T %v, want remote unknown-operation error", op, err, err)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package netsrv
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/oracle"
@@ -101,7 +102,7 @@ func TestPartitionedClient(t *testing.T) {
 		t.Fatalf("cross-partition read-write conflict missed over the wire")
 	}
 
-	// Stats carry the partition counters over the widened payload.
+	// Stats carry the partition counters over the metrics registry.
 	st1, err := pc.Clients()[1].Stats()
 	if err != nil {
 		t.Fatalf("stats: %v", err)
@@ -117,6 +118,50 @@ func TestPartitionedClient(t *testing.T) {
 	rs, err := pc.ResolveStatus(t2)
 	if err != nil || rs.Status != oracle.StatusCommitted || rs.CommitTS != res2.CommitTS {
 		t.Fatalf("resolve status %+v err=%v", rs, err)
+	}
+}
+
+// TestPartitionedStatsCarrySliceLoads: a coordinator's per-partition Stats
+// travel over the wire (Client.Stats parses each server's registry), and the
+// elastic rebalancer needs their SliceLoads to equal every partition's own
+// in-process histogram.
+func TestPartitionedStatsCarrySliceLoads(t *testing.T) {
+	router := partition.NewHashRouter(3)
+	addrs, _, oracles := startPartitionServers(t, 3, oracle.WSI, router)
+	pc, err := DialPartitioned(oracle.WSI, router, addrs...)
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer pc.Close()
+	// Rows spread over the whole id space (bucket = top 6 bits), with
+	// both single- and cross-partition write sets.
+	row := func(i int) oracle.RowID { return oracle.RowID(uint64(i%oracle.LoadBuckets)<<58 | uint64(i)) }
+	for i := 0; i < 60; i++ {
+		ts, err := pc.Begin()
+		if err != nil {
+			t.Fatalf("begin: %v", err)
+		}
+		ws := []oracle.RowID{row(i)}
+		if i%2 == 0 {
+			ws = append(ws, row(i+1))
+		}
+		if _, err := pc.Commit(oracle.CommitRequest{StartTS: ts, WriteSet: ws}); err != nil {
+			t.Fatalf("commit %d: %v", i, err)
+		}
+	}
+	st := pc.Stats()
+	for i, so := range oracles {
+		want := so.Stats().SliceLoads
+		var writes int64
+		for _, v := range want {
+			writes += v
+		}
+		if writes == 0 {
+			t.Fatalf("partition %d saw no writes; the test drives nothing", i)
+		}
+		if got := st.Partitions[i].SliceLoads; !reflect.DeepEqual(got, want) {
+			t.Fatalf("partition %d SliceLoads over the wire\n got %v\nwant %v", i, got, want)
+		}
 	}
 }
 

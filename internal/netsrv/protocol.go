@@ -20,20 +20,21 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 
 	"repro/internal/oracle"
 )
 
 // Operation codes.
 const (
-	opBegin       = 1
-	opCommit      = 2
-	opAbort       = 3
-	opQuery       = 4
-	opForget      = 5
-	opSubscribe   = 6
-	opStats       = 7
+	opBegin     = 1
+	opCommit    = 2
+	opAbort     = 3
+	opQuery     = 4
+	opForget    = 5
+	opSubscribe = 6
+	// 7 stays unassigned: it was the positional stats payload, retired
+	// for opMetrics, and an older client's request must fail as an
+	// unknown operation.
 	opCommitBatch = 8
 	opQueryBatch  = 9
 	// opHealth reports the server's role (standby or primary); failover
@@ -69,8 +70,8 @@ const (
 	// opMetrics gathers the server's self-describing metrics registry: the
 	// response payload is metrics.AppendSamples' length-prefixed
 	// name/kind/value encoding, so new metrics appear without any wire
-	// change. opStats remains as the frozen legacy shim (its positional
-	// payload is never widened again — new telemetry goes here).
+	// change. It is the only telemetry op; Client.Stats parses the
+	// oracle's counters out of it.
 	opMetrics = 22
 )
 
@@ -557,108 +558,6 @@ func parseEnvelope(b []byte) (env envelope, innerOp byte, innerPayload []byte, e
 	env.session = binary.BigEndian.Uint32(b[1:5])
 	env.deadline = binary.BigEndian.Uint32(b[5:9])
 	return env, b[9], b[10:], nil
-}
-
-// statsPayloadLen is the fixed prefix of an opStats response: 30 fields of
-// 8 bytes (counters as u64, averages/ratios as IEEE-754 bits). Fields 11–14
-// are the availability counters: checkpoints written, last checkpoint
-// bound, records replayed by the last recovery, and its duration in
-// nanoseconds. Fields 15–19 are the partition counters: prepares checked,
-// prepare no votes, decides applied, mean prepare→decide wait, and the
-// fraction of write transactions that arrived through the two-phase path.
-// Fields 20–23 are the allocation-discipline counters: open-table load
-// factor, incremental rehashes, and the server's frame-pool hits/misses.
-// Fields 24–29 are the ingress counters: admitted, shed, rate-limited,
-// expired, live sessions, and the admission queue-depth p99.
-// After the prefix an optional per-slice load histogram follows:
-// count(u32) + count×u64 — absent in legacy responses, which decodeStats
-// tolerates (SliceLoads stays nil).
-const statsPayloadLen = 30 * 8
-
-// appendStats renders the oracle counters in wire order.
-func appendStats(b []byte, st oracle.Stats) []byte {
-	for _, v := range []int64{st.Begins, st.Commits, st.ReadOnlyCommits, st.ConflictAborts, st.TmaxAborts, st.ExplicitAborts, st.Batches} {
-		b = appendU64(b, uint64(v))
-	}
-	b = appendU64(b, math.Float64bits(st.BatchSizeAvg))
-	b = appendU64(b, uint64(st.Queries))
-	b = appendU64(b, uint64(st.QueryBatches))
-	b = appendU64(b, math.Float64bits(st.QueryBatchSizeAvg))
-	for _, v := range []int64{st.Checkpoints, st.LastCheckpointTS, st.ReplayedRecords, st.RecoveryNanos, st.Prepares, st.PrepareNoVotes, st.Decides} {
-		b = appendU64(b, uint64(v))
-	}
-	b = appendU64(b, math.Float64bits(st.DecideWaitAvg))
-	b = appendU64(b, math.Float64bits(st.CrossPartitionRatio))
-	b = appendU64(b, math.Float64bits(st.TableLoadFactor))
-	b = appendU64(b, uint64(st.Rehashes))
-	b = appendU64(b, uint64(st.PooledFrameHits))
-	b = appendU64(b, uint64(st.PooledFrameMisses))
-	for _, v := range []int64{st.IngressAdmitted, st.IngressShed, st.IngressRateLimited, st.IngressExpired, st.Sessions, st.QueueDepthP99} {
-		b = appendU64(b, uint64(v))
-	}
-	var n [4]byte
-	binary.BigEndian.PutUint32(n[:], uint32(len(st.SliceLoads)))
-	b = append(b, n[:]...)
-	for _, v := range st.SliceLoads {
-		b = appendU64(b, uint64(v))
-	}
-	return b
-}
-
-func decodeStats(b []byte) (oracle.Stats, error) {
-	if len(b) < statsPayloadLen {
-		return oracle.Stats{}, ErrBadFrame
-	}
-	var loads []int64
-	switch tail := b[statsPayloadLen:]; {
-	case len(tail) == 0:
-		// Legacy fixed-size payload.
-	case len(tail) >= 4:
-		n := binary.BigEndian.Uint32(tail[:4])
-		if uint64(len(tail)) != 4+uint64(n)*8 {
-			return oracle.Stats{}, ErrBadFrame
-		}
-		loads = make([]int64, n)
-		for i := range loads {
-			loads[i] = int64(binary.BigEndian.Uint64(tail[4+i*8:]))
-		}
-	default:
-		return oracle.Stats{}, ErrBadFrame
-	}
-	v := func(i int) int64 { return int64(binary.BigEndian.Uint64(b[i*8:])) }
-	return oracle.Stats{
-		SliceLoads:          loads,
-		Begins:              v(0),
-		Commits:             v(1),
-		ReadOnlyCommits:     v(2),
-		ConflictAborts:      v(3),
-		TmaxAborts:          v(4),
-		ExplicitAborts:      v(5),
-		Batches:             v(6),
-		BatchSizeAvg:        math.Float64frombits(binary.BigEndian.Uint64(b[7*8:])),
-		Queries:             v(8),
-		QueryBatches:        v(9),
-		QueryBatchSizeAvg:   math.Float64frombits(binary.BigEndian.Uint64(b[10*8:])),
-		Checkpoints:         v(11),
-		LastCheckpointTS:    v(12),
-		ReplayedRecords:     v(13),
-		RecoveryNanos:       v(14),
-		Prepares:            v(15),
-		PrepareNoVotes:      v(16),
-		Decides:             v(17),
-		DecideWaitAvg:       math.Float64frombits(binary.BigEndian.Uint64(b[18*8:])),
-		CrossPartitionRatio: math.Float64frombits(binary.BigEndian.Uint64(b[19*8:])),
-		TableLoadFactor:     math.Float64frombits(binary.BigEndian.Uint64(b[20*8:])),
-		Rehashes:            v(21),
-		PooledFrameHits:     v(22),
-		PooledFrameMisses:   v(23),
-		IngressAdmitted:     v(24),
-		IngressShed:         v(25),
-		IngressRateLimited:  v(26),
-		IngressExpired:      v(27),
-		Sessions:            v(28),
-		QueueDepthP99:       v(29),
-	}, nil
 }
 
 // encodePrepareReq renders one prepare slice: startTS, commitTS, write

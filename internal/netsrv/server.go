@@ -109,7 +109,7 @@ type Server struct {
 
 	// ctxPool recycles per-request handler contexts (frame read buffer,
 	// decode scratch, response build buffer); poolHits/poolMisses feed the
-	// PooledFrameHits/Misses stats fields.
+	// netsrv_pooled_frame_{hits,misses}_total counters.
 	ctxPool              sync.Pool
 	poolHits, poolMisses atomic.Int64
 
@@ -883,16 +883,6 @@ func (s *Server) handle(ctx *handlerCtx, reqID uint64, op byte, payload []byte, 
 		}
 		so.Forget(ts)
 		return ok
-	case opStats:
-		st := so.Stats()
-		st.PooledFrameHits = s.poolHits.Load()
-		st.PooledFrameMisses = s.poolMisses.Load()
-		st.Sessions = s.sessions.Load()
-		if a := s.adm; a != nil {
-			st.IngressAdmitted, st.IngressShed, st.IngressRateLimited, st.IngressExpired = a.totals()
-			st.QueueDepthP99 = a.depthP99()
-		}
-		return appendStats(ok, st)
 	case opRouting:
 		rt := s.Routing()
 		if rt.Router == nil {

@@ -1,6 +1,10 @@
 package oracle
 
 import (
+	"errors"
+	"fmt"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -67,36 +71,14 @@ type Stats struct {
 	// slot ratio of the open-addressed lastCommit shards (0 under
 	// TableMap) and Rehashes the number of incremental growth passes they
 	// have run; together they say whether the conflict-check scan lengths
-	// are healthy. PooledFrameHits/Misses count the netsrv frame-buffer
-	// pool's recycled vs freshly allocated buffers (filled in by the
-	// network server when stats travel over the wire; zero in-process) —
-	// at steady state the miss count stops moving.
-	TableLoadFactor   float64
-	Rehashes          int64
-	PooledFrameHits   int64
-	PooledFrameMisses int64
-	// Ingress counters, filled in by the network server when stats travel
-	// over the wire (zero in-process). IngressAdmitted counts data-plane
-	// requests that passed admission, IngressShed the ones rejected at the
-	// frame boundary because their tenant's bounded queue was full (or the
-	// session cap was hit), IngressRateLimited the ones rejected by their
-	// tenant's token bucket, and IngressExpired the ones dropped because
-	// their deadline passed — at admission, while queued, or at batch-cut
-	// time inside the coalescers. Sessions is the server's current count of
-	// live multiplexed sessions, and QueueDepthP99 the 99th percentile of
-	// the admission queue depth sampled at each admit.
-	IngressAdmitted    int64
-	IngressShed        int64
-	IngressRateLimited int64
-	IngressExpired     int64
-	Sessions           int64
-	QueueDepthP99      int64
+	// are healthy.
+	TableLoadFactor float64
+	Rehashes        int64
 	// SliceLoads is the per-key-range write-load histogram (LoadBuckets
 	// cumulative counters over Config.LoadSpan): every submitted write row
 	// of the commit, one-shot and prepare paths increments its range's
 	// bucket. The elastic rebalancer differences successive snapshots to
-	// find hot ranges. Nil when the oracle was never asked (wire decode of
-	// a legacy stats payload).
+	// find hot ranges.
 	SliceLoads []int64
 }
 
@@ -230,33 +212,115 @@ func (c *statsCollector) snapshot() Stats {
 	return s
 }
 
-// MetricsSource adapts the oracle's counters to the self-describing metrics
-// registry. Unlike the frozen positional Stats payload, samples emitted here
-// can be added freely: the registry's length-prefixed wire encoding carries
-// names, so no consumer needs a format change.
-func (s *StatusOracle) MetricsSource() metrics.Source {
-	return func(emit func(metrics.Sample)) {
-		st := s.Stats()
-		emit(metrics.C("oracle_begins_total", st.Begins))
-		emit(metrics.C("oracle_commits_total", st.Commits))
-		emit(metrics.C("oracle_readonly_commits_total", st.ReadOnlyCommits))
-		emit(metrics.C("oracle_conflict_aborts_total", st.ConflictAborts))
-		emit(metrics.C("oracle_tmax_aborts_total", st.TmaxAborts))
-		emit(metrics.C("oracle_explicit_aborts_total", st.ExplicitAborts))
-		emit(metrics.C("oracle_commit_batches_total", st.Batches))
-		emit(metrics.G("oracle_commit_batch_size_avg", st.BatchSizeAvg))
-		emit(metrics.C("oracle_queries_total", st.Queries))
-		emit(metrics.C("oracle_query_batches_total", st.QueryBatches))
-		emit(metrics.G("oracle_query_batch_size_avg", st.QueryBatchSizeAvg))
-		emit(metrics.C("oracle_checkpoints_total", st.Checkpoints))
-		emit(metrics.C("oracle_replayed_records", st.ReplayedRecords))
-		emit(metrics.C("oracle_recovery_nanos", st.RecoveryNanos))
-		emit(metrics.C("oracle_prepares_total", st.Prepares))
-		emit(metrics.C("oracle_prepare_novotes_total", st.PrepareNoVotes))
-		emit(metrics.C("oracle_decides_total", st.Decides))
-		emit(metrics.G("oracle_decide_wait_avg_ns", st.DecideWaitAvg))
-		emit(metrics.G("oracle_cross_partition_ratio", st.CrossPartitionRatio))
-		emit(metrics.G("oracle_table_load_factor", st.TableLoadFactor))
-		emit(metrics.C("oracle_table_rehashes_total", st.Rehashes))
+// statsFields is the one table that names each Stats field on the metrics
+// plane: MetricsSource emits from it and StatsFromSamples parses with it, so
+// a field travels over the wire exactly when it has a row here. int64
+// fields travel as counters, float64 fields as gauges; SliceLoads, the one
+// vector, travels beside them as one sliceFamily counter per bucket.
+var statsFields = [...]struct {
+	name  string
+	field func(*Stats) any // *int64 or *float64
+}{
+	{"oracle_begins_total", func(s *Stats) any { return &s.Begins }},
+	{"oracle_commits_total", func(s *Stats) any { return &s.Commits }},
+	{"oracle_readonly_commits_total", func(s *Stats) any { return &s.ReadOnlyCommits }},
+	{"oracle_conflict_aborts_total", func(s *Stats) any { return &s.ConflictAborts }},
+	{"oracle_tmax_aborts_total", func(s *Stats) any { return &s.TmaxAborts }},
+	{"oracle_explicit_aborts_total", func(s *Stats) any { return &s.ExplicitAborts }},
+	{"oracle_commit_batches_total", func(s *Stats) any { return &s.Batches }},
+	{"oracle_commit_batch_size_avg", func(s *Stats) any { return &s.BatchSizeAvg }},
+	{"oracle_queries_total", func(s *Stats) any { return &s.Queries }},
+	{"oracle_query_batches_total", func(s *Stats) any { return &s.QueryBatches }},
+	{"oracle_query_batch_size_avg", func(s *Stats) any { return &s.QueryBatchSizeAvg }},
+	{"oracle_checkpoints_total", func(s *Stats) any { return &s.Checkpoints }},
+	{"oracle_last_checkpoint_ts", func(s *Stats) any { return &s.LastCheckpointTS }},
+	{"oracle_replayed_records", func(s *Stats) any { return &s.ReplayedRecords }},
+	{"oracle_recovery_nanos", func(s *Stats) any { return &s.RecoveryNanos }},
+	{"oracle_prepares_total", func(s *Stats) any { return &s.Prepares }},
+	{"oracle_prepare_novotes_total", func(s *Stats) any { return &s.PrepareNoVotes }},
+	{"oracle_decides_total", func(s *Stats) any { return &s.Decides }},
+	{"oracle_decide_wait_avg_ns", func(s *Stats) any { return &s.DecideWaitAvg }},
+	{"oracle_cross_partition_ratio", func(s *Stats) any { return &s.CrossPartitionRatio }},
+	{"oracle_table_load_factor", func(s *Stats) any { return &s.TableLoadFactor }},
+	{"oracle_table_rehashes_total", func(s *Stats) any { return &s.Rehashes }},
+}
+
+// sliceFamily carries SliceLoads: bucket i is the counter
+// oracle_slice_writes_total{slice="i"}.
+const sliceFamily = "oracle_slice_writes_total"
+
+// statsIndex maps a sample name to its statsFields row.
+var statsIndex = func() map[string]int {
+	m := make(map[string]int, len(statsFields))
+	for i, f := range statsFields {
+		m[f.name] = i
 	}
+	return m
+}()
+
+// emitStats renders st as samples through the statsFields table.
+func emitStats(st Stats, emit func(metrics.Sample)) {
+	for _, f := range statsFields {
+		switch p := f.field(&st).(type) {
+		case *int64:
+			emit(metrics.C(f.name, *p))
+		case *float64:
+			emit(metrics.G(f.name, *p))
+		}
+	}
+	for i, v := range st.SliceLoads {
+		emit(metrics.C(sliceFamily+`{slice="`+strconv.Itoa(i)+`"}`, v))
+	}
+}
+
+// MetricsSource adapts the oracle's counters to the self-describing metrics
+// registry; StatsFromSamples turns the gathered samples back into Stats.
+func (s *StatusOracle) MetricsSource() metrics.Source {
+	return func(emit func(metrics.Sample)) { emitStats(s.Stats(), emit) }
+}
+
+// StatsFromSamples rebuilds an oracle's Stats from a gathered sample set
+// (Registry.Gather, or a remote server's registry over the wire). Samples
+// of other subsystems are ignored. A set without any oracle sample is an
+// error — the server has no oracle installed (a group follower, say) — so
+// callers never mistake it for an idle oracle.
+func StatsFromSamples(samples []metrics.Sample) (Stats, error) {
+	var st Stats
+	found := false
+	for _, smp := range samples {
+		if i, ok := statsIndex[smp.Name]; ok {
+			switch p := statsFields[i].field(&st).(type) {
+			case *int64:
+				if smp.Kind != metrics.KindCounter {
+					return Stats{}, fmt.Errorf("oracle: sample %s is not a counter", smp.Name)
+				}
+				*p = smp.Value
+			case *float64:
+				if smp.Kind != metrics.KindGauge {
+					return Stats{}, fmt.Errorf("oracle: sample %s is not a gauge", smp.Name)
+				}
+				*p = smp.Gauge
+			}
+			found = true
+			continue
+		}
+		label, ok := strings.CutPrefix(smp.Name, sliceFamily+`{slice="`)
+		if !ok {
+			continue
+		}
+		label, ok = strings.CutSuffix(label, `"}`)
+		b, err := strconv.Atoi(label)
+		if !ok || err != nil || b < 0 || b >= LoadBuckets || smp.Kind != metrics.KindCounter {
+			return Stats{}, fmt.Errorf("oracle: malformed slice-load sample %s", smp.Name)
+		}
+		if st.SliceLoads == nil {
+			st.SliceLoads = make([]int64, LoadBuckets)
+		}
+		st.SliceLoads[b] = smp.Value
+		found = true
+	}
+	if !found {
+		return Stats{}, errors.New("oracle: no oracle counters in the sample set (no oracle installed)")
+	}
+	return st, nil
 }
