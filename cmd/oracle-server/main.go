@@ -41,8 +41,8 @@
 // resumes the timestamp epoch and serves from a fresh epoch ledger whose
 // first record is a full checkpoint. Kill -9 the leader and the group
 // heals within ~2 lease durations (-lease-ms); restart it and it rejoins
-// as a follower. Failover clients (netsrv.DialFailover) list every member
-// and follow the redirects automatically.
+// as a follower. Clients (netsrv.Dial) list every member and follow the
+// redirects automatically.
 //
 // The server can also run as one key slice of a partitioned status oracle
 // (internal/partition):
@@ -212,7 +212,7 @@ type obsFlags struct {
 func (o obsFlags) apply(srv *netsrv.Server) {
 	srv.SlowThreshold = o.slow
 	srv.TraceSample = o.traceSample
-	srv.DisableTracing = o.noTrace
+	srv.SetTracing(!o.noTrace)
 	srv.AnomalySample = o.anomalySample
 	if o.slow > 0 {
 		log.Printf("oracle-server: logging 1 in %d requests slower than %v", max(o.traceSample, 1), o.slow)

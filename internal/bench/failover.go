@@ -113,8 +113,8 @@ type failoverReport struct {
 }
 
 // electionGap measures one automatic failover at the wire: three group
-// members front three servers, a netsrv.DialFailover client drives commit
-// load, the leader is killed (member and server die together, no
+// members front three servers, a netsrv.Dial client over all three drives
+// commit load, the leader is killed (member and server die together, no
 // handover), and the group detects the lease expiry, elects, fences the
 // dead epoch and resumes — while a second client keeps reading statuses
 // from a follower's standby shadow. Recovery is last pre-kill ack to first
@@ -173,7 +173,7 @@ func electionGap(lease time.Duration) (electionResult, error) {
 		return electionResult{}, fmt.Errorf("election: no serving leader")
 	}
 
-	client, err := netsrv.DialFailover(addrs...)
+	client, err := netsrv.Dial(addrs...)
 	if err != nil {
 		return electionResult{}, err
 	}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -21,43 +22,34 @@ import (
 // issue requests concurrently; they share one connection and are matched to
 // responses by request id.
 //
-// A client created with DialFailover additionally reconnects: when the
-// connection is lost, the next call re-dials the configured addresses in
-// round-robin order (so it finds the newly elected leader after a failover).
-// Requests that were in flight when the connection died still fail — the
-// client never resubmits them, because a lost commit ack is in-doubt, not
-// retriable; the transaction layer resolves those by querying the status
-// of its start timestamp on the new primary.
+// Every client reconnects: when the connection is lost, the next call
+// re-dials its address set (the redirect hint first, then round-robin), so
+// it finds a restarted server or a newly elected leader. Requests that were
+// in flight when the connection died still fail — the client never
+// resubmits them, because a lost commit ack is in-doubt, not retriable; the
+// transaction layer resolves those by querying the status of its start
+// timestamp on the new primary.
 type Client struct {
-	addr  string
-	addrs []string // failover set; empty disables reconnection
-
-	// Reconnect pacing (set by DialFailover): between full sweeps of the
-	// address set, the client sleeps a jittered exponential backoff
-	// starting at backoffBase and capped at backoffCap, until redialBudget
-	// has elapsed. Zero values disable the retry sweeps (one pass, as the
-	// pre-group client behaved).
-	backoffBase  time.Duration
-	backoffCap   time.Duration
-	redialBudget time.Duration
+	addrs []string // immutable after Dial: the address set reconnects sweep
 
 	// reconnectMu serializes reconnection attempts; it is taken WITHOUT
 	// c.mu so the dials never stall concurrent calls on a live
-	// connection, Close, or the read loop.
+	// connection, Close, or the read loop. It guards no field.
 	reconnectMu sync.Mutex
 
 	mu      sync.Mutex
-	conn    net.Conn
-	cur     int    // index into addrs of the live connection
-	hint    string // leader address learned from a codeNotLeader redirect
-	nextID  uint64
-	pending map[uint64]chan response
-	err     error // connection failure; reconnectable unless closed
-	closed  bool
-	wbuf    []byte // frame write buffer, reused under mu
+	conn    net.Conn                 // guarded by mu: the live connection
+	addr    string                   // guarded by mu: address of conn
+	cur     int                      // guarded by mu: index into addrs of conn
+	hint    string                   // guarded by mu: leader address from a codeNotLeader redirect
+	nextID  uint64                   // guarded by mu: last request id issued
+	pending map[uint64]chan response // guarded by mu: in-flight calls by request id
+	err     error                    // guarded by mu: connection failure; reconnectable unless closed
+	closed  bool                     // guarded by mu
+	wbuf    []byte                   // guarded by mu: frame write buffer
 
-	subs   []*subConn
 	subsMu sync.Mutex
+	subs   []*subConn // guarded by subsMu: event-stream connections
 }
 
 type response struct {
@@ -96,32 +88,20 @@ func putRespBuf(r response) {
 	}
 }
 
-// Dial connects to a status oracle server. The returned client does not
-// reconnect; use DialFailover for that.
-func Dial(addr string) (*Client, error) {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	c := &Client{addr: addr, conn: conn, pending: make(map[uint64]chan response)}
-	go c.readLoop(conn)
-	return c, nil
-}
-
-// dialTimeout bounds each reconnection attempt so a dead address cannot
-// stall a failover longer than the next address would take to answer.
+// dialTimeout bounds each dial so a dead address cannot stall a failover
+// longer than the next address would take to answer.
 const dialTimeout = time.Second
 
-// Reconnect pacing defaults: a lost leader is usually re-elected within a
-// couple of lease durations, so the sweeps start fast (a few ms) and back
-// off exponentially with jitter — a thundering herd of clients re-dialing a
+// Reconnect pacing: a lost leader is usually re-elected within a couple of
+// lease durations, so the sweeps start fast (a few ms) and back off
+// exponentially with jitter — a thundering herd of clients re-dialing a
 // freshly elected leader spreads out instead of arriving in lockstep. The
 // budget bounds how long one call may block in reconnection before its
 // error surfaces to the caller.
 const (
-	defaultBackoffBase  = 2 * time.Millisecond
-	defaultBackoffCap   = 250 * time.Millisecond
-	defaultRedialBudget = 3 * time.Second
+	reconnectBackoffBase = 2 * time.Millisecond
+	reconnectBackoffCap  = 250 * time.Millisecond
+	reconnectBudget      = 3 * time.Second
 )
 
 // NotLeaderError reports a data operation sent to a replicated-group member
@@ -141,15 +121,16 @@ func (e *NotLeaderError) Error() string {
 	return fmt.Sprintf("netsrv: not the group leader (epoch %d at %s)", e.Epoch, e.Addr)
 }
 
-// DialFailover connects to the first reachable address and fails over
-// across the whole set on connection loss: re-dials sweep the set with
-// jittered exponential backoff until the redial budget elapses, and a
+// Dial connects to the first reachable address of a status oracle server
+// or of a replicated group's members. The client fails over across the
+// whole set on connection loss: re-dials sweep the set with jittered
+// exponential backoff until the reconnect budget elapses, and a
 // codeNotLeader redirect steers the next dial straight at the hinted
-// leader. The set should list the whole group; order only biases the first
-// connection.
-func DialFailover(addrs ...string) (*Client, error) {
+// leader. For a group the set should list every member; order only biases
+// the first connection.
+func Dial(addrs ...string) (*Client, error) {
 	if len(addrs) == 0 {
-		return nil, errors.New("netsrv: DialFailover needs at least one address")
+		return nil, errors.New("netsrv: Dial needs at least one address")
 	}
 	var firstErr error
 	for i, addr := range addrs {
@@ -160,27 +141,21 @@ func DialFailover(addrs ...string) (*Client, error) {
 			}
 			continue
 		}
-		c := &Client{
-			addr: addr, addrs: addrs, cur: i, conn: conn,
-			pending:      make(map[uint64]chan response),
-			backoffBase:  defaultBackoffBase,
-			backoffCap:   defaultBackoffCap,
-			redialBudget: defaultRedialBudget,
-		}
+		c := &Client{addr: addr, addrs: slices.Clone(addrs), cur: i, conn: conn, pending: make(map[uint64]chan response)}
 		go c.readLoop(conn)
 		return c, nil
 	}
 	return nil, fmt.Errorf("netsrv: no address reachable: %w", firstErr)
 }
 
-// reconnect re-dials the failover set — the redirect hint (leader address
+// reconnect re-dials the address set — the redirect hint (leader address
 // learned from a codeNotLeader reply) first, then the configured addresses
 // starting after the one that just failed. Failed sweeps repeat with
-// jittered exponential backoff until the redial budget elapses. The dials
-// run outside c.mu (under reconnectMu, so only one goroutine sweeps at a
-// time); c.mu is retaken only to install the new connection. Returns nil
-// once the client has a live connection — whether established by this call
-// or by a racing one.
+// jittered exponential backoff until the reconnect budget elapses. The
+// dials run outside c.mu (under reconnectMu, so only one goroutine sweeps
+// at a time); c.mu is retaken only to install the new connection. Returns
+// nil once the client has a live connection — whether established by this
+// call or by a racing one.
 func (c *Client) reconnect() error {
 	c.reconnectMu.Lock()
 	defer c.reconnectMu.Unlock()
@@ -197,26 +172,20 @@ func (c *Client) reconnect() error {
 	lastErr := c.err
 	c.mu.Unlock()
 
-	var deadline time.Time
-	if c.redialBudget > 0 {
-		deadline = time.Now().Add(c.redialBudget)
-	}
-	backoff := c.backoffBase
-	if backoff <= 0 {
-		backoff = defaultBackoffBase
-	}
+	deadline := time.Now().Add(reconnectBudget)
+	backoff := reconnectBackoffBase
 	for {
 		c.mu.Lock()
-		hint, cur, addrs := c.hint, c.cur, c.addrs
+		hint, cur := c.hint, c.cur
 		c.mu.Unlock()
 		// One sweep: hinted leader first, then round-robin from the
 		// address after the one that failed.
-		try := make([]string, 0, len(addrs)+1)
+		try := make([]string, 0, len(c.addrs)+1)
 		if hint != "" {
 			try = append(try, hint)
 		}
-		for i := 1; i <= len(addrs); i++ {
-			if a := addrs[(cur+i)%len(addrs)]; a != hint {
+		for i := 1; i <= len(c.addrs); i++ {
+			if a := c.addrs[(cur+i)%len(c.addrs)]; a != hint {
 				try = append(try, a)
 			}
 		}
@@ -235,7 +204,7 @@ func (c *Client) reconnect() error {
 			}
 			c.conn = conn
 			c.addr = addr
-			for i, a := range addrs {
+			for i, a := range c.addrs {
 				if a == addr {
 					c.cur = i
 					break
@@ -246,15 +215,13 @@ func (c *Client) reconnect() error {
 			go c.readLoop(conn)
 			return nil
 		}
-		if deadline.IsZero() || !time.Now().Before(deadline) {
+		if !time.Now().Before(deadline) {
 			return lastErr
 		}
 		// Jittered exponential backoff between sweeps: sleep in
 		// [backoff/2, backoff) so reconnecting clients spread out.
 		time.Sleep(backoff/2 + time.Duration(rand.Int63n(int64(backoff/2)+1)))
-		if backoff *= 2; backoff > c.backoffCap && c.backoffCap > 0 {
-			backoff = c.backoffCap
-		}
+		backoff = min(2*backoff, reconnectBackoffCap)
 		c.mu.Lock()
 		closed := c.closed
 		c.mu.Unlock()
@@ -336,7 +303,7 @@ func (c *Client) readLoop(conn net.Conn) {
 }
 
 // callResp issues one request and waits for its response. On a lost
-// connection, a failover client re-dials its address set first; the call
+// connection, the client re-dials its address set first; the call
 // then proceeds on the new connection (it was never sent on the old one,
 // so no request is ever submitted twice).
 //
@@ -355,8 +322,8 @@ const maxLeaderRedirects = 2
 
 // callRespEnv is callResp with an optional ingress envelope: when env is
 // non-nil the request travels as opEnvelope carrying tenant, session and
-// deadline budget, and the inner op rides inside. Session mux handles go
-// through here; bare clients pass nil and stay wire-identical to old peers.
+// deadline budget, and the inner op rides inside. Session methods pass
+// their envelope; Client methods pass nil and send the bare op.
 //
 // A codeNotLeader reply is followed transparently: the member rejected the
 // request before executing it, so re-dialing the hinted leader and
@@ -385,7 +352,7 @@ func (c *Client) followLeader(addr string) bool {
 		return false
 	}
 	c.mu.Lock()
-	if c.closed || len(c.addrs) == 0 {
+	if c.closed {
 		c.mu.Unlock()
 		return false
 	}
@@ -412,7 +379,7 @@ func (c *Client) callRespOnce(op byte, payload []byte, env *envelope) (response,
 	ch := respChPool.Get().(chan response)
 	c.mu.Lock()
 	if c.err != nil {
-		if c.closed || len(c.addrs) == 0 {
+		if c.closed {
 			err := c.err
 			c.mu.Unlock()
 			respChPool.Put(ch)
@@ -523,22 +490,35 @@ func (c *Client) call(op byte, payload []byte) ([]byte, error) {
 	return out, nil
 }
 
-// Begin requests a start timestamp.
-func (c *Client) Begin() (uint64, error) {
-	resp, err := c.callResp(opBegin, nil)
+// The request bodies below are shared by Client and Session: each encodes
+// one wire op, makes one callRespEnv and decodes the reply. Client methods
+// pass a nil envelope (the bare op); Session methods pass their own.
+
+// ack issues a request whose reply carries no payload.
+func (c *Client) ack(op byte, payload []byte, env *envelope) error {
+	resp, err := c.callRespEnv(op, payload, env)
+	if err != nil {
+		return err
+	}
+	putRespBuf(resp)
+	return nil
+}
+
+// callU64 issues a request whose reply is one u64.
+func (c *Client) callU64(op byte, payload []byte, env *envelope) (uint64, error) {
+	resp, err := c.callRespEnv(op, payload, env)
 	if err != nil {
 		return 0, err
 	}
-	ts, err := parseU64(resp.payload)
+	v, err := parseU64(resp.payload)
 	putRespBuf(resp)
-	return ts, err
+	return v, err
 }
 
-// Commit submits a commit request.
-func (c *Client) Commit(req oracle.CommitRequest) (oracle.CommitResult, error) {
+func (c *Client) commit(req oracle.CommitRequest, env *envelope) (oracle.CommitResult, error) {
 	pb := getPayloadBuf()
 	*pb = appendCommitReq((*pb)[:0], req)
-	resp, err := c.callResp(opCommit, *pb)
+	resp, err := c.callRespEnv(opCommit, *pb, env)
 	putPayloadBuf(pb)
 	if err != nil {
 		return oracle.CommitResult{}, err
@@ -546,6 +526,72 @@ func (c *Client) Commit(req oracle.CommitRequest) (oracle.CommitResult, error) {
 	res, err := parseCommitResult(resp.payload)
 	putRespBuf(resp)
 	return res, err
+}
+
+func (c *Client) query(startTS uint64, env *envelope) (oracle.TxnStatus, error) {
+	resp, err := c.callRespEnv(opQuery, u64(startTS), env)
+	if err != nil {
+		return oracle.TxnStatus{}, err
+	}
+	st, err := parseTxnStatus(resp.payload)
+	putRespBuf(resp)
+	return st, err
+}
+
+func (c *Client) queryBatch(startTSs []uint64, env *envelope) ([]oracle.TxnStatus, error) {
+	pb := getPayloadBuf()
+	*pb = appendQueryBatchReq((*pb)[:0], startTSs)
+	resp, err := c.callRespEnv(opQueryBatch, *pb, env)
+	putPayloadBuf(pb)
+	if err != nil {
+		return nil, err
+	}
+	statuses, err := decodeQueryBatchResp(resp.payload)
+	putRespBuf(resp)
+	if err != nil {
+		return nil, err
+	}
+	if len(statuses) != len(startTSs) {
+		return nil, ErrBadFrame
+	}
+	return statuses, nil
+}
+
+// resolveStatus rides the batched query op, which a group member that is
+// not leading still answers from its standby shadow.
+func (c *Client) resolveStatus(startTS uint64, env *envelope) (oracle.TxnStatus, error) {
+	ts := [1]uint64{startTS}
+	statuses, err := c.queryBatch(ts[:], env)
+	if err != nil {
+		return oracle.TxnStatus{}, err
+	}
+	return statuses[0], nil
+}
+
+// commitResults issues a batched commit op whose reply carries one result
+// per request.
+func (c *Client) commitResults(op byte, payload []byte, n int) ([]oracle.CommitResult, error) {
+	resp, err := c.callResp(op, payload)
+	if err != nil {
+		return nil, err
+	}
+	results, err := decodeCommitBatchResp(resp.payload)
+	putRespBuf(resp)
+	if err != nil {
+		return nil, err
+	}
+	if len(results) != n {
+		return nil, ErrBadFrame
+	}
+	return results, nil
+}
+
+// Begin requests a start timestamp.
+func (c *Client) Begin() (uint64, error) { return c.callU64(opBegin, nil, nil) }
+
+// Commit submits a commit request.
+func (c *Client) Commit(req oracle.CommitRequest) (oracle.CommitResult, error) {
+	return c.commit(req, nil)
 }
 
 // CommitBatch submits a batch of commit requests as one frame; the server
@@ -556,43 +602,19 @@ func (c *Client) CommitBatch(reqs []oracle.CommitRequest) ([]oracle.CommitResult
 	}
 	pb := getPayloadBuf()
 	*pb = appendCommitBatchReq((*pb)[:0], reqs)
-	resp, err := c.callResp(opCommitBatch, *pb)
+	results, err := c.commitResults(opCommitBatch, *pb, len(reqs))
 	putPayloadBuf(pb)
-	if err != nil {
-		return nil, err
-	}
-	results, err := decodeCommitBatchResp(resp.payload)
-	putRespBuf(resp)
-	if err != nil {
-		return nil, err
-	}
-	if len(results) != len(reqs) {
-		return nil, ErrBadFrame
-	}
-	return results, nil
+	return results, err
 }
 
 // Abort records an explicit abort.
-func (c *Client) Abort(startTS uint64) error {
-	resp, err := c.callResp(opAbort, u64(startTS))
-	if err != nil {
-		return err
-	}
-	putRespBuf(resp)
-	return nil
-}
+func (c *Client) Abort(startTS uint64) error { return c.ack(opAbort, u64(startTS), nil) }
 
 // BeginBlock allocates n consecutive timestamps in one round trip and
 // returns the lowest; the partitioned coordinator draws its
 // commit-timestamp blocks through it.
 func (c *Client) BeginBlock(n int) (uint64, error) {
-	resp, err := c.callResp(opBeginBlock, u64(uint64(n)))
-	if err != nil {
-		return 0, err
-	}
-	lo, err := parseU64(resp.payload)
-	putRespBuf(resp)
-	return lo, err
+	return c.callU64(opBeginBlock, u64(uint64(n)), nil)
 }
 
 // PrepareBatch runs phase one of the two-phase partitioned commit on this
@@ -628,13 +650,9 @@ func (c *Client) DecideBatch(ds []oracle.Decision) error {
 	}
 	pb := getPayloadBuf()
 	*pb = appendDecideBatchReq((*pb)[:0], ds)
-	resp, err := c.callResp(opDecideBatch, *pb)
+	err := c.ack(opDecideBatch, *pb, nil)
 	putPayloadBuf(pb)
-	if err != nil {
-		return err
-	}
-	putRespBuf(resp)
-	return nil
+	return err
 }
 
 // CommitAtBatch one-shot commits single-partition transactions at
@@ -645,33 +663,16 @@ func (c *Client) CommitAtBatch(reqs []oracle.PrepareRequest) ([]oracle.CommitRes
 	}
 	pb := getPayloadBuf()
 	*pb = appendPrepareBatchReq((*pb)[:0], reqs)
-	resp, err := c.callResp(opCommitAtBatch, *pb)
+	results, err := c.commitResults(opCommitAtBatch, *pb, len(reqs))
 	putPayloadBuf(pb)
-	if err != nil {
-		return nil, err
-	}
-	results, err := decodeCommitBatchResp(resp.payload)
-	putRespBuf(resp)
-	if err != nil {
-		return nil, err
-	}
-	if len(results) != len(reqs) {
-		return nil, ErrBadFrame
-	}
-	return results, nil
+	return results, err
 }
 
-// Query asks for a transaction's status.
+// Query asks for a transaction's status. The Arbiter interface has no
+// error path for Query, so a failed lookup answers pending (the reader
+// skips the version and may retry).
 func (c *Client) Query(startTS uint64) oracle.TxnStatus {
-	resp, err := c.callResp(opQuery, u64(startTS))
-	if err != nil {
-		// The Arbiter interface has no error path for Query;
-		// pending is the safe answer (the reader skips the version
-		// and may retry).
-		return oracle.TxnStatus{Status: oracle.StatusPending}
-	}
-	st, err := parseTxnStatus(resp.payload)
-	putRespBuf(resp)
+	st, err := c.query(startTS, nil)
 	if err != nil {
 		return oracle.TxnStatus{Status: oracle.StatusPending}
 	}
@@ -684,32 +685,17 @@ func (c *Client) Query(startTS uint64) oracle.TxnStatus {
 // error path: on a transport failure every lookup degrades to pending (the
 // reader skips the versions and may retry).
 func (c *Client) QueryBatch(startTSs []uint64) []oracle.TxnStatus {
-	out := make([]oracle.TxnStatus, len(startTSs))
-	if len(startTSs) == 0 {
-		return out
+	if len(startTSs) > 0 {
+		if statuses, err := c.queryBatch(startTSs, nil); err == nil {
+			return statuses
+		}
 	}
-	pb := getPayloadBuf()
-	*pb = appendQueryBatchReq((*pb)[:0], startTSs)
-	resp, err := c.callResp(opQueryBatch, *pb)
-	putPayloadBuf(pb)
-	if err != nil {
-		return out
-	}
-	statuses, err := decodeQueryBatchResp(resp.payload)
-	putRespBuf(resp)
-	if err != nil || len(statuses) != len(startTSs) {
-		return out
-	}
-	return statuses
+	return make([]oracle.TxnStatus, len(startTSs)) // the zero status is pending
 }
 
-// Forget drops an aborted transaction's record after cleanup.
-func (c *Client) Forget(startTS uint64) {
-	resp, err := c.callResp(opForget, u64(startTS))
-	if err == nil {
-		putRespBuf(resp)
-	}
-}
+// Forget drops an aborted transaction's record after cleanup. The Arbiter
+// shape has no error path; a record left behind is only garbage.
+func (c *Client) Forget(startTS uint64) { _ = c.ack(opForget, u64(startTS), nil) }
 
 // Stats fetches the server's oracle counters: Metrics, parsed by
 // oracle.StatsFromSamples. A server with no installed oracle (a group
@@ -752,13 +738,9 @@ func (c *Client) Routing() (epoch uint64, spec string, err error) {
 func (c *Client) SetRouting(rt partition.RoutingTable) error {
 	pb := getPayloadBuf()
 	*pb = appendRoutingPayload((*pb)[:0], rt.Epoch, rt.Spec())
-	resp, err := c.callResp(opSetRouting, *pb)
+	err := c.ack(opSetRouting, *pb, nil)
 	putPayloadBuf(pb)
-	if err != nil {
-		return err
-	}
-	putRespBuf(resp)
-	return nil
+	return err
 }
 
 // ExportRange snapshots the partition's conflict-check state for [lo, hi)
@@ -778,12 +760,7 @@ func (c *Client) ExportRange(lo, hi uint64) (*oracle.RangeState, error) {
 
 // ApplyRange merges an exported range into the partition server's state.
 func (c *Client) ApplyRange(rs *oracle.RangeState) error {
-	resp, err := c.callResp(opApplyRange, oracle.EncodeRangeState(rs))
-	if err != nil {
-		return err
-	}
-	putRespBuf(resp)
-	return nil
+	return c.ack(opApplyRange, oracle.EncodeRangeState(rs), nil)
 }
 
 // DiscardRange drops the partition server's state for a range whose
@@ -791,13 +768,9 @@ func (c *Client) ApplyRange(rs *oracle.RangeState) error {
 func (c *Client) DiscardRange(lo, hi uint64) error {
 	pb := getPayloadBuf()
 	*pb = appendRangeReq((*pb)[:0], lo, hi)
-	resp, err := c.callResp(opDiscardRange, *pb)
+	err := c.ack(opDiscardRange, *pb, nil)
 	putPayloadBuf(pb)
-	if err != nil {
-		return err
-	}
-	putRespBuf(resp)
-	return nil
+	return err
 }
 
 // Health reports the server's role: "primary" when it serves an oracle,
@@ -819,18 +792,17 @@ func (c *Client) Health() (string, error) {
 // ResolveStatus is the error-aware status lookup the transaction layer
 // uses to settle in-doubt commits after a transport failure: unlike Query,
 // which degrades to pending, it reports whether the answer actually came
-// from a server. It rides the batched query op, so the answer reflects the
-// (possibly newly promoted) server's commit table — and a group member
-// that is not leading still answers it from its standby shadow.
+// from a server. The answer reflects the (possibly newly elected) leader's
+// commit table — or a follower's standby shadow.
 func (c *Client) ResolveStatus(startTS uint64) (oracle.TxnStatus, error) {
-	return c.resolveStatusEnv(startTS, nil)
+	return c.resolveStatus(startTS, nil)
 }
 
 // ResolveStatusCtx is ResolveStatus bounded by ctx: the context's remaining
 // budget travels in the request envelope (so server-side parking honors
-// it), and the client-side wait — including any reconnection backoff the
-// failover path performs — is abandoned when ctx expires. The transaction
-// layer uses it to bound how long an in-doubt settlement may block.
+// it), and the client-side wait — including any reconnection backoff — is
+// abandoned when ctx expires. The transaction layer uses it to bound how
+// long an in-doubt settlement may block.
 func (c *Client) ResolveStatusCtx(ctx context.Context, startTS uint64) (oracle.TxnStatus, error) {
 	if err := ctx.Err(); err != nil {
 		return oracle.TxnStatus{}, err
@@ -841,14 +813,10 @@ func (c *Client) ResolveStatusCtx(ctx context.Context, startTS uint64) (oracle.T
 		if remain <= 0 {
 			return oracle.TxnStatus{}, context.DeadlineExceeded
 		}
-		us := remain.Microseconds()
-		if us <= 0 {
-			us = 1
-		}
-		if us > maxDeadlineMicros {
-			us = maxDeadlineMicros
-		}
-		env = &envelope{deadline: uint32(us)}
+		// A budget beyond the envelope's range clamps; ctx still bounds
+		// the client-side wait.
+		us, _ := deadlineMicros(remain)
+		env = &envelope{deadline: us}
 	}
 	type result struct {
 		st  oracle.TxnStatus
@@ -856,43 +824,26 @@ func (c *Client) ResolveStatusCtx(ctx context.Context, startTS uint64) (oracle.T
 	}
 	done := make(chan result, 1)
 	go func() {
-		st, err := c.resolveStatusEnv(startTS, env)
+		st, err := c.resolveStatus(startTS, env)
 		done <- result{st, err}
 	}()
 	select {
 	case <-ctx.Done():
 		// The lookup keeps running in the background (bounded by the
-		// redial budget) but the caller stops waiting for it.
+		// reconnect budget) but the caller stops waiting for it.
 		return oracle.TxnStatus{}, ctx.Err()
 	case r := <-done:
 		return r.st, r.err
 	}
 }
 
-func (c *Client) resolveStatusEnv(startTS uint64, env *envelope) (oracle.TxnStatus, error) {
-	ts := [1]uint64{startTS}
-	pb := getPayloadBuf()
-	*pb = appendQueryBatchReq((*pb)[:0], ts[:])
-	resp, err := c.callRespEnv(opQueryBatch, *pb, env)
-	putPayloadBuf(pb)
-	if err != nil {
-		return oracle.TxnStatus{}, err
-	}
-	statuses, err := decodeQueryBatchResp(resp.payload)
-	putRespBuf(resp)
-	if err != nil {
-		return oracle.TxnStatus{}, err
-	}
-	if len(statuses) != 1 {
-		return oracle.TxnStatus{}, ErrBadFrame
-	}
-	return statuses[0], nil
-}
-
 // Subscribe opens a dedicated event-stream connection and adapts it to the
 // oracle.Subscription interface used by the transaction layer.
 func (c *Client) Subscribe(buffer int) *oracle.Subscription {
-	sc, err := newSubConn(c.addr, buffer)
+	c.mu.Lock()
+	addr := c.addr
+	c.mu.Unlock()
+	sc, err := newSubConn(addr, buffer)
 	if err != nil {
 		// Degrade gracefully: a closed subscription forces the
 		// replica cache to fall back to direct queries.

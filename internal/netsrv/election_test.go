@@ -65,7 +65,8 @@ func waitWireLeader(t *testing.T, srvs []*Server, members []*ha.Member, exclude 
 // TestLeaseWireRedirectAndStandbyReads: health reports the leader as
 // primary and a follower as standby; a data op sent to a follower answers
 // codeNotLeader carrying the leaseholder's address, while status queries
-// are served from the follower's standby shadow.
+// are served from the follower's standby shadow without moving the client;
+// the next data op follows the hint to the leader.
 func TestLeaseWireRedirectAndStandbyReads(t *testing.T) {
 	store := ha.NewMemStore(3)
 	lease := 100 * time.Millisecond
@@ -102,17 +103,8 @@ func TestLeaseWireRedirectAndStandbyReads(t *testing.T) {
 	follower := (lead + 1) % 3
 	// The redirect hint comes from replayed lease records; wait for the
 	// follower's shadow to observe the leader's first renewal.
-	hintDeadline := time.Now().Add(2 * time.Second)
-	for {
-		if _, addr := members[follower].LeaderHint(); addr != "" {
-			break
-		}
-		if time.Now().After(hintDeadline) {
-			t.Fatalf("follower never learned the leader's address")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	fc, err := Dial(addrs[follower]) // plain Dial: redirects surface, not followed
+	waitLeaderHint(t, members[follower])
+	fc, err := Dial(addrs[follower])
 	if err != nil {
 		t.Fatalf("dial follower: %v", err)
 	}
@@ -120,7 +112,8 @@ func TestLeaseWireRedirectAndStandbyReads(t *testing.T) {
 	if role, _ := fc.Health(); role != "standby" {
 		t.Fatalf("follower health = %q, want standby", role)
 	}
-	_, err = fc.Begin()
+	// One attempt, no redirect chasing: the follower's raw reply.
+	_, err = fc.callRespOnce(opBegin, nil, nil)
 	var nl *NotLeaderError
 	if !errors.As(err, &nl) {
 		t.Fatalf("follower Begin err = %v, want NotLeaderError", err)
@@ -129,7 +122,8 @@ func TestLeaseWireRedirectAndStandbyReads(t *testing.T) {
 		t.Fatalf("redirect hint = (%d, %q), want leader %q", nl.Epoch, nl.Addr, addrs[lead])
 	}
 
-	// The standby shadow answers the committed status once it catches up.
+	// The standby shadow answers the committed status once it catches up;
+	// status reads are served by the follower, never redirected.
 	deadline := time.Now().Add(2 * time.Second)
 	for {
 		st, err := fc.ResolveStatus(ts)
@@ -141,12 +135,84 @@ func TestLeaseWireRedirectAndStandbyReads(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
+	if addr := connectedAddr(fc); addr != addrs[follower] {
+		t.Fatalf("standby reads moved the client to %q, want the follower %q", addr, addrs[follower])
+	}
+
+	// A data op through the public path follows the hint to the leader.
+	if _, err := fc.Begin(); err != nil {
+		t.Fatalf("follower-dialed Begin did not follow the leader: %v", err)
+	}
+	if addr := connectedAddr(fc); addr != addrs[lead] {
+		t.Fatalf("client connected to %q after the redirect, want the leader %q", addr, addrs[lead])
+	}
 }
 
-// TestElectionWireFailover: a DialFailover client rides a leader crash —
-// the group elects, the client chases codeNotLeader hints and reconnect
-// backoff to the new leader, whose timestamps continue above the dead
-// epoch; every previously acked commit stays resolvable with its original
+// connectedAddr reports the address of c's live connection.
+func connectedAddr(c *Client) string {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.addr
+}
+
+// waitLeaderHint waits until member m has learned the leader's address.
+func waitLeaderHint(t *testing.T, m *ha.Member) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		if _, addr := m.LeaderHint(); addr != "" {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("follower never learned the leader's address")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestMuxSessionFollowsLeader: a DialMux pool pointed at a group follower
+// commits through the leader — each pooled transport is a Dial client, so
+// the session's enveloped requests chase the codeNotLeader hint.
+func TestMuxSessionFollowsLeader(t *testing.T) {
+	store := ha.NewMemStore(3)
+	var srvs []*Server
+	var members []*ha.Member
+	var addrs []string
+	for i := 0; i < 3; i++ {
+		srv, m, addr := startGroupNode(t, i, store, 100*time.Millisecond, i == 0)
+		defer srv.Close()
+		defer m.Stop()
+		srvs = append(srvs, srv)
+		members = append(members, m)
+		addrs = append(addrs, addr)
+	}
+	lead := waitWireLeader(t, srvs, members, -1, 2*time.Second)
+	follower := (lead + 1) % 3
+	waitLeaderHint(t, members[follower])
+
+	m, err := DialMux(addrs[follower], 2)
+	if err != nil {
+		t.Fatalf("dial mux: %v", err)
+	}
+	defer m.Close()
+	s := m.Session(1)
+	ts, err := s.Begin()
+	if err != nil {
+		t.Fatalf("session Begin via follower: %v", err)
+	}
+	res, err := s.Commit(oracle.CommitRequest{StartTS: ts, WriteSet: []oracle.RowID{7}})
+	if err != nil || !res.Committed {
+		t.Fatalf("session Commit via follower: %+v, %v", res, err)
+	}
+	if st := members[lead].Oracle().Query(ts); st.Status != oracle.StatusCommitted || st.CommitTS != res.CommitTS {
+		t.Fatalf("leader's oracle status %+v, want committed at %d", st, res.CommitTS)
+	}
+}
+
+// TestElectionWireFailover: a Dial client over the whole group rides a
+// leader crash — the group elects, the client chases codeNotLeader hints
+// and reconnect backoff to the new leader, whose timestamps continue above
+// the dead epoch; every previously acked commit stays resolvable with its original
 // timestamp on the new leader; the dead leader's oracle, revived behind a
 // server, can no longer commit; and in-doubt settlement respects contexts.
 func TestElectionWireFailover(t *testing.T) {
@@ -165,9 +231,9 @@ func TestElectionWireFailover(t *testing.T) {
 	}
 	lead := waitWireLeader(t, srvs, members, -1, 2*time.Second)
 
-	c, err := DialFailover(addrs...)
+	c, err := Dial(addrs...)
 	if err != nil {
-		t.Fatalf("dial failover: %v", err)
+		t.Fatalf("dial group: %v", err)
 	}
 	defer c.Close()
 

@@ -1,6 +1,7 @@
 package netsrv
 
 import (
+	"sync"
 	"testing"
 	"time"
 
@@ -58,5 +59,90 @@ func TestFailoverStatsCarriesAvailabilityCounters(t *testing.T) {
 	}
 	if want.LastCheckpointTS == 0 {
 		t.Fatalf("recovery surfaced no checkpoint bound")
+	}
+}
+
+// TestReconnectSingleAddress: a one-address client outlives its server. A
+// call made while the server is down re-dials within the reconnect budget,
+// succeeds once a new server listens on the same address, and the client
+// keeps working there.
+func TestReconnectSingleAddress(t *testing.T) {
+	srv, c := startServer(t, oracle.WSI)
+	so, addr := srv.oracle(), srv.Addr()
+	before, err := c.Begin()
+	if err != nil {
+		t.Fatalf("begin: %v", err)
+	}
+	srv.Close()
+	// Let the client see the loss first, so the next call re-dials rather
+	// than being sent on the dying connection (and failing in doubt).
+	waitCond(t, func() bool {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return c.err != nil
+	})
+
+	type restart struct {
+		srv *Server
+		err error
+	}
+	restarted := make(chan restart, 1)
+	go func() {
+		time.Sleep(50 * time.Millisecond)
+		srv2 := NewServer(so)
+		srv2.Logf = nil
+		_, err := srv2.Listen(addr)
+		restarted <- restart{srv2, err}
+	}()
+	after, err := c.Begin()
+	r := <-restarted
+	if r.err != nil {
+		t.Fatalf("relisten on %s: %v", addr, r.err)
+	}
+	defer r.srv.Close()
+	if err != nil {
+		t.Fatalf("begin across the restart: %v", err)
+	}
+	if after <= before {
+		t.Fatalf("timestamp %d after the restart not above %d", after, before)
+	}
+	res, err := c.Commit(oracle.CommitRequest{StartTS: after, WriteSet: []oracle.RowID{1}})
+	if err != nil || !res.Committed {
+		t.Fatalf("commit on the restarted server: %+v, %v", res, err)
+	}
+}
+
+// TestReconnectSubscribeRace: Subscribe reads the live address while a
+// reconnect rewrites it; under -race the two must not race.
+func TestReconnectSubscribeRace(t *testing.T) {
+	srvA, _ := startServer(t, oracle.WSI)
+	srvB, _ := startServer(t, oracle.WSI)
+	c, err := Dial(srvA.Addr(), srvB.Addr())
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer c.Close()
+	srvA.Close()
+
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 20; i++ {
+			c.Begin()
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 20; i++ {
+			c.Subscribe(1).Close()
+		}
+	}()
+	wg.Wait()
+	if _, err := c.Begin(); err != nil {
+		t.Fatalf("begin after failing over to the second server: %v", err)
+	}
+	if got := connectedAddr(c); got != srvB.Addr() {
+		t.Fatalf("client connected to %q, want %q", got, srvB.Addr())
 	}
 }

@@ -21,7 +21,8 @@ type Mux struct {
 }
 
 // DialMux opens a pool of conns transport connections to addr (conns
-// defaults to 1 if not positive).
+// defaults to 1 if not positive). Each transport is a Dial client, so it
+// reconnects and follows a group's leader like any other.
 func DialMux(addr string, conns int) (*Mux, error) {
 	if conns <= 0 {
 		conns = 1
@@ -81,6 +82,17 @@ type Session struct {
 // field can carry (~71.6 minutes).
 const maxDeadlineMicros = int64(^uint32(0))
 
+// deadlineMicros converts a positive relative budget into the envelope's
+// microsecond field. Sub-microsecond budgets round up, not down to "none";
+// budgets beyond the field's range clamp to its maximum and report ok false.
+func deadlineMicros(d time.Duration) (us uint32, ok bool) {
+	m := d.Microseconds()
+	if m > maxDeadlineMicros {
+		return uint32(maxDeadlineMicros), false
+	}
+	return uint32(max(m, 1)), true
+}
+
 // ErrDeadlineTooLong reports a per-request budget beyond what the envelope
 // can encode.
 var ErrDeadlineTooLong = errors.New("netsrv: session deadline exceeds envelope range")
@@ -94,14 +106,11 @@ func (s *Session) SetDeadline(d time.Duration) error {
 		s.env.deadline = 0
 		return nil
 	}
-	us := d.Microseconds()
-	if us <= 0 {
-		us = 1 // sub-microsecond budgets round up, not down to "none"
-	}
-	if us > maxDeadlineMicros {
+	us, ok := deadlineMicros(d)
+	if !ok {
 		return ErrDeadlineTooLong
 	}
-	s.env.deadline = uint32(us)
+	s.env.deadline = us
 	return nil
 }
 
@@ -109,82 +118,29 @@ func (s *Session) SetDeadline(d time.Duration) error {
 func (s *Session) ID() uint32 { return s.env.session }
 
 // Begin requests a start timestamp.
-func (s *Session) Begin() (uint64, error) {
-	resp, err := s.c.callRespEnv(opBegin, nil, &s.env)
-	if err != nil {
-		return 0, err
-	}
-	ts, err := parseU64(resp.payload)
-	putRespBuf(resp)
-	return ts, err
-}
+func (s *Session) Begin() (uint64, error) { return s.c.callU64(opBegin, nil, &s.env) }
 
 // Commit submits a commit request through the session's admission class.
 func (s *Session) Commit(req oracle.CommitRequest) (oracle.CommitResult, error) {
-	pb := getPayloadBuf()
-	*pb = appendCommitReq((*pb)[:0], req)
-	resp, err := s.c.callRespEnv(opCommit, *pb, &s.env)
-	putPayloadBuf(pb)
-	if err != nil {
-		return oracle.CommitResult{}, err
-	}
-	res, err := parseCommitResult(resp.payload)
-	putRespBuf(resp)
-	return res, err
+	return s.c.commit(req, &s.env)
 }
 
 // Abort records an explicit abort.
-func (s *Session) Abort(startTS uint64) error {
-	resp, err := s.c.callRespEnv(opAbort, u64(startTS), &s.env)
-	if err != nil {
-		return err
-	}
-	putRespBuf(resp)
-	return nil
-}
+func (s *Session) Abort(startTS uint64) error { return s.c.ack(opAbort, u64(startTS), &s.env) }
 
 // Query asks for a transaction's status. Unlike Client.Query (whose Arbiter
 // shape has no error path), a session query surfaces shed and expiry
 // verdicts to the caller.
 func (s *Session) Query(startTS uint64) (oracle.TxnStatus, error) {
-	resp, err := s.c.callRespEnv(opQuery, u64(startTS), &s.env)
-	if err != nil {
-		return oracle.TxnStatus{}, err
-	}
-	st, err := parseTxnStatus(resp.payload)
-	putRespBuf(resp)
-	return st, err
+	return s.c.query(startTS, &s.env)
 }
 
 // ResolveStatus is the error-aware status lookup used to settle in-doubt
 // commits, carried through the session's envelope so it shares the
 // session's admission class and deadline budget.
 func (s *Session) ResolveStatus(startTS uint64) (oracle.TxnStatus, error) {
-	pb := getPayloadBuf()
-	ts := [1]uint64{startTS}
-	*pb = appendQueryBatchReq((*pb)[:0], ts[:])
-	resp, err := s.c.callRespEnv(opQueryBatch, *pb, &s.env)
-	putPayloadBuf(pb)
-	if err != nil {
-		return oracle.TxnStatus{}, err
-	}
-	statuses, err := decodeQueryBatchResp(resp.payload)
-	putRespBuf(resp)
-	if err != nil {
-		return oracle.TxnStatus{}, err
-	}
-	if len(statuses) != 1 {
-		return oracle.TxnStatus{}, ErrBadFrame
-	}
-	return statuses[0], nil
+	return s.c.resolveStatus(startTS, &s.env)
 }
 
 // Forget drops an aborted transaction's record after cleanup.
-func (s *Session) Forget(startTS uint64) error {
-	resp, err := s.c.callRespEnv(opForget, u64(startTS), &s.env)
-	if err != nil {
-		return err
-	}
-	putRespBuf(resp)
-	return nil
-}
+func (s *Session) Forget(startTS uint64) error { return s.c.ack(opForget, u64(startTS), &s.env) }

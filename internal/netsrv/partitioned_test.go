@@ -9,9 +9,10 @@ import (
 	"repro/internal/tso"
 )
 
-// startPartitionServers boots n partition servers over in-process oracles.
-// Partition 0 owns the shared timestamp stream; the others never allocate
-// timestamps (their clocks exist only to satisfy the oracle constructor).
+// startPartitionServers boots n partition servers over in-process oracles,
+// each fenced by an epoch-1 routing table over router. Partition 0 owns the
+// shared timestamp stream; the others never allocate timestamps (their
+// clocks exist only to satisfy the oracle constructor).
 func startPartitionServers(t *testing.T, n int, engine oracle.Engine, router partition.Router) ([]string, []*Server, []*oracle.StatusOracle) {
 	t.Helper()
 	addrs := make([]string, n)
@@ -24,8 +25,9 @@ func startPartitionServers(t *testing.T, n int, engine oracle.Engine, router par
 		}
 		srv := NewServer(so)
 		srv.Logf = nil
-		part := i
-		srv.OwnsRow = func(r oracle.RowID) bool { return router.Partition(r) == part }
+		srv.PartitionID = i
+		srv.Partitions = n
+		srv.SetRouting(partition.RoutingTable{Epoch: 1, Router: router})
 		addr, err := srv.Listen("127.0.0.1:0")
 		if err != nil {
 			t.Fatalf("listen %d: %v", i, err)
@@ -165,8 +167,9 @@ func TestPartitionedStatsCarrySliceLoads(t *testing.T) {
 	}
 }
 
-// TestPartitionedMisroutingGuard: a server configured with OwnsRow rejects
-// slices carrying foreign rows.
+// TestPartitionedMisroutingGuard: a partition server rejects one-shot and
+// prepare slices carrying rows its routing table assigns elsewhere, with a
+// redirect carrying that table's epoch.
 func TestPartitionedMisroutingGuard(t *testing.T) {
 	router := partition.NewHashRouter(2)
 	addrs, _, _ := startPartitionServers(t, 2, oracle.WSI, router)
@@ -179,14 +182,15 @@ func TestPartitionedMisroutingGuard(t *testing.T) {
 	if err != nil {
 		t.Fatalf("begin: %v", err)
 	}
-	// Row 1 belongs to partition 1; partition 0 must reject it.
-	_, err = c.CommitAtBatch([]oracle.PrepareRequest{{StartTS: ts, CommitTS: ts + 1, WriteSet: []oracle.RowID{1}}})
-	if err == nil {
-		t.Fatalf("misrouted one-shot accepted")
+	// Row 1 belongs to partition 1; partition 0 must redirect it.
+	misrouted := []oracle.PrepareRequest{{StartTS: ts, CommitTS: ts + 1, WriteSet: []oracle.RowID{1}}}
+	_, err = c.CommitAtBatch(misrouted)
+	if mr := partition.AsMisroute(err); mr == nil || mr.Epoch != 1 {
+		t.Fatalf("misrouted one-shot err = %v, want a misroute at epoch 1", err)
 	}
-	_, err = c.PrepareBatch([]oracle.PrepareRequest{{StartTS: ts, CommitTS: ts + 1, WriteSet: []oracle.RowID{1}}})
-	if err == nil {
-		t.Fatalf("misrouted prepare accepted")
+	_, err = c.PrepareBatch(misrouted)
+	if mr := partition.AsMisroute(err); mr == nil || mr.Epoch != 1 {
+		t.Fatalf("misrouted prepare err = %v, want a misroute at epoch 1", err)
 	}
 	// Correctly routed rows pass.
 	res, err := c.CommitAtBatch([]oracle.PrepareRequest{{StartTS: ts, CommitTS: ts + 1, WriteSet: []oracle.RowID{2}}})

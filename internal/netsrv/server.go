@@ -52,19 +52,13 @@ type Server struct {
 	// codeNotLeader like any other data op. Set before Listen.
 	StandbyReads func(startTSs []uint64, scratch []oracle.TxnStatus) ([]oracle.TxnStatus, bool)
 
-	// OwnsRow, when set, marks this server as one partition of a
-	// partitioned status oracle: commit, prepare and one-shot requests
-	// whose rows the router did not assign here are rejected before they
-	// can corrupt the partition's slice of the conflict state (a
-	// misconfigured client is the partitioned deployment's analogue of a
-	// corrupt frame). Set before Listen.
-	OwnsRow func(oracle.RowID) bool
-
-	// PartitionID / Partitions identify this server's slice of an elastic
-	// partitioned deployment; with a routing table installed (SetRouting),
-	// ownership is checked against the table instead of OwnsRow, and a
-	// misrouted request answers codeRedirect carrying the table's epoch
-	// and spec so the client self-heals. Set both before Listen.
+	// PartitionID / Partitions identify this server's slice of a
+	// partitioned status oracle. With a routing table installed
+	// (SetRouting), prepare and one-shot requests carrying rows the table
+	// did not assign here are rejected before they can corrupt the
+	// partition's slice of the conflict state: the reply is codeRedirect
+	// carrying the table's epoch and spec, so the client self-heals. Set
+	// both before Listen.
 	PartitionID int
 	Partitions  int
 
@@ -120,12 +114,9 @@ type Server struct {
 	SlowThreshold time.Duration
 	TraceSample   int
 
-	// DisableTracing turns the request lifecycle tracing off entirely (no
-	// span stamps, no stage histograms, no slow log). Exists for the `obs`
-	// bench to measure the instrumentation's own overhead; production
-	// leaves tracing always on. Set before Listen.
-	DisableTracing bool
-	traceOn        atomic.Bool
+	// traceOn gates the request lifecycle tracing (span stamps, stage
+	// histograms, slow log); on from NewServer, flipped by SetTracing.
+	traceOn atomic.Bool
 
 	// AnomalySample is the initial sampled fraction of commit decisions
 	// recorded into the anomaly tap (0 disables the tap — unsampled
@@ -195,6 +186,7 @@ const defaultCoalesceDelay = 200 * time.Microsecond
 func NewServer(so *oracle.StatusOracle) *Server {
 	s := &Server{conns: make(map[net.Conn]struct{}), Logf: log.Printf}
 	s.so.Store(so)
+	s.traceOn.Store(true)
 	s.initAnomaly()
 	return s
 }
@@ -263,7 +255,6 @@ func (s *Server) Serve(ln net.Listener) {
 	if s.Ingress != nil {
 		s.adm = newAdmitter(*s.Ingress)
 	}
-	s.traceOn.Store(!s.DisableTracing)
 	s.anomTap.SetSampling(s.AnomalySample)
 	s.anomStop = s.anomChecker.Run(s.anomTap, anomalyDrainInterval)
 	s.Registry() // materialize the metrics plane before the first request
@@ -272,11 +263,11 @@ func (s *Server) Serve(ln net.Listener) {
 	go s.acceptLoop()
 }
 
-// SetTracing enables or disables lifecycle tracing at runtime. A request in
-// flight across the flip may be stamped on one side only; recordSpan drops
-// such partial spans, so the histograms never see a torn lifecycle. The
-// `obs` bench toggles this to interleave traced and untraced measurement
-// slices under one continuous load.
+// SetTracing enables or disables lifecycle tracing (on by default), before
+// Listen or at runtime. A request in flight across the flip may be stamped
+// on one side only; recordSpan drops such partial spans, so the histograms
+// never see a torn lifecycle. The `obs` bench toggles this to interleave
+// traced and untraced measurement slices under one continuous load.
 func (s *Server) SetTracing(enabled bool) { s.traceOn.Store(enabled) }
 
 // Addr returns the listening address.
@@ -830,8 +821,8 @@ func (s *Server) handle(ctx *handlerCtx, reqID uint64, op byte, payload []byte, 
 		if err != nil {
 			return respError(reqID, err)
 		}
-		if err := s.checkOwnership(reqs); err != nil {
-			return respOwnership(reqID, err)
+		if mr := s.checkOwnership(reqs); mr != nil {
+			return respRedirect(reqID, mr)
 		}
 		votes, err := so.PrepareBatch(reqs)
 		if err != nil {
@@ -855,8 +846,8 @@ func (s *Server) handle(ctx *handlerCtx, reqID uint64, op byte, payload []byte, 
 			return respError(reqID, err)
 		}
 		ctx.preps = reqs
-		if err := s.checkOwnership(reqs); err != nil {
-			return respOwnership(reqID, err)
+		if mr := s.checkOwnership(reqs); mr != nil {
+			return respRedirect(reqID, mr)
 		}
 		results, err := so.CommitAtBatch(reqs)
 		if err != nil {
@@ -972,13 +963,10 @@ func (s *Server) respNotLeader(reqID uint64, fallback error) []byte {
 	return respError(reqID, fallback)
 }
 
-// ErrMisrouted reports rows sent to a partition that does not own them.
-var ErrMisrouted = errors.New("netsrv: request carries rows this partition does not own")
-
 // SetRouting installs an epoch-fenced routing table (adopted only when
 // strictly newer than the held one) and reports whether it was adopted.
-// With a table installed, ownership checks consult it instead of OwnsRow
-// and misroutes answer codeRedirect.
+// With a table installed, ownership checks consult it and misroutes answer
+// codeRedirect.
 func (s *Server) SetRouting(rt partition.RoutingTable) bool {
 	if rt.Router == nil {
 		return false
@@ -1000,52 +988,34 @@ func (s *Server) Routing() partition.RoutingTable {
 }
 
 // checkOwnership rejects prepare/one-shot slices carrying rows this
-// partition does not own — atomically, before the oracle touches any state,
-// which is what makes a whole-group retry after a redirect safe. Under a
-// routing table the rejection is a *partition.MisrouteError (rendered as
-// codeRedirect); under legacy OwnsRow it is ErrMisrouted.
-func (s *Server) checkOwnership(reqs []oracle.PrepareRequest) error {
-	if rt := s.Routing(); rt.Router != nil {
-		for i := range reqs {
-			for _, r := range reqs[i].WriteSet {
-				if rt.Router.Partition(r) != s.PartitionID {
-					return &partition.MisrouteError{Epoch: rt.Epoch, Spec: rt.Spec()}
-				}
-			}
-			for _, r := range reqs[i].ReadSet {
-				if rt.Router.Partition(r) != s.PartitionID {
-					return &partition.MisrouteError{Epoch: rt.Epoch, Spec: rt.Spec()}
-				}
-			}
-		}
-		return nil
-	}
-	if s.OwnsRow == nil {
+// partition does not own under its routing table — atomically, before the
+// oracle touches any state, which is what makes a whole-group retry after
+// a redirect safe. A server without a table owns every row.
+func (s *Server) checkOwnership(reqs []oracle.PrepareRequest) *partition.MisrouteError {
+	rt := s.Routing()
+	if rt.Router == nil {
 		return nil
 	}
 	for i := range reqs {
 		for _, r := range reqs[i].WriteSet {
-			if !s.OwnsRow(r) {
-				return ErrMisrouted
+			if rt.Router.Partition(r) != s.PartitionID {
+				return &partition.MisrouteError{Epoch: rt.Epoch, Spec: rt.Spec()}
 			}
 		}
 		for _, r := range reqs[i].ReadSet {
-			if !s.OwnsRow(r) {
-				return ErrMisrouted
+			if rt.Router.Partition(r) != s.PartitionID {
+				return &partition.MisrouteError{Epoch: rt.Epoch, Spec: rt.Spec()}
 			}
 		}
 	}
 	return nil
 }
 
-// respOwnership renders an ownership failure: redirects carry the routing
-// table for client self-healing, legacy misroutes stay plain errors.
-func respOwnership(reqID uint64, err error) []byte {
-	if mr := partition.AsMisroute(err); mr != nil {
-		body := appendRespHdr(make([]byte, 0, 9+8+len(mr.Spec)), reqID, codeRedirect)
-		return appendRoutingPayload(body, mr.Epoch, mr.Spec)
-	}
-	return respError(reqID, err)
+// respRedirect renders a misroute as codeRedirect carrying the routing
+// table, so the client adopts it and retries.
+func respRedirect(reqID uint64, mr *partition.MisrouteError) []byte {
+	body := appendRespHdr(make([]byte, 0, 9+8+len(mr.Spec)), reqID, codeRedirect)
+	return appendRoutingPayload(body, mr.Epoch, mr.Spec)
 }
 
 // streamEvents acknowledges the subscription and forwards the oracle's

@@ -111,10 +111,11 @@ func TestTracePopulatesStageHistograms(t *testing.T) {
 	}
 }
 
-// TestTraceDisabled checks the kill switch: with DisableTracing set, the
-// stage histograms stay empty but requests (and per-tenant counters) work.
+// TestTraceDisabled checks the kill switch: with SetTracing(false) called
+// before Listen, the stage histograms stay empty but requests (and
+// per-tenant counters) work.
 func TestTraceDisabled(t *testing.T) {
-	_, c2 := startTraceServer(t, func(s *Server) { s.DisableTracing = true })
+	_, c2 := startTraceServer(t, func(s *Server) { s.SetTracing(false) })
 
 	ts, err := c2.Begin()
 	if err != nil {
