@@ -29,15 +29,11 @@ func main() {
 		batchMax = flag.Int("batchmax", 0, "cap the commit-batch sweep of the batch experiment (0 = full sweep)")
 		readMax  = flag.Int("readmax", 0, "cap the lookup-batch sweep of the read experiment (0 = full sweep)")
 		partMax  = flag.Int("partmax", 0, "cap the partition-count sweep of the scaleout experiment (0 = full sweep)")
-		jsonOut  = flag.String("json", "", "write the selected experiment's JSON result to this path (scaleout-elastic, ingress, obs and anomaly)")
+		jsonOut  = flag.String("json", "", "write the selected experiment's JSON result to this path (scaleout-elastic, ingress, obs, anomaly and failover)")
 	)
 	flag.Parse()
 
-	bench.ElasticJSONPath = *jsonOut
-	bench.IngressJSONPath = *jsonOut
-	bench.ObsJSONPath = *jsonOut
-	bench.AnomalyJSONPath = *jsonOut
-	bench.FailoverJSONPath = *jsonOut
+	bench.JSONPath = *jsonOut
 
 	if *partMax > 0 {
 		var parts []int

@@ -1,11 +1,9 @@
 package bench
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
-	"os"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -17,11 +15,6 @@ import (
 	"repro/internal/tso"
 	"repro/internal/workload"
 )
-
-// AnomalyJSONPath, when non-empty (cmd/bench -json), receives the anomaly
-// lab experiment's machine-readable result. CI checks the artifact in as
-// BENCH_anomaly.json.
-var AnomalyJSONPath string
 
 const (
 	anomalyRows     = int64(1) << 30
@@ -396,15 +389,8 @@ func init() {
 				}
 			}
 
-			if AnomalyJSONPath != "" {
-				data, err := json.MarshalIndent(rep, "", "  ")
-				if err != nil {
-					return "", err
-				}
-				if err := os.WriteFile(AnomalyJSONPath, append(data, '\n'), 0o644); err != nil {
-					return "", err
-				}
-				fmt.Fprintf(&b, "\n[json artifact written to %s]\n", AnomalyJSONPath)
+			if err := writeJSONArtifact(&b, rep); err != nil {
+				return "", err
 			}
 			return b.String(), nil
 		},

@@ -6,10 +6,34 @@
 package bench
 
 import (
+	"encoding/json"
 	"fmt"
+	"os"
 	"sort"
 	"strings"
 )
+
+// JSONPath, when non-empty (cmd/bench -json), receives the machine-readable
+// result of each selected experiment that has one (scaleout-elastic,
+// ingress, obs, anomaly and failover). CI checks them in as BENCH_*.json.
+var JSONPath string
+
+// writeJSONArtifact writes rep as indented JSON to JSONPath, when set, and
+// notes the path at the end of the report in b.
+func writeJSONArtifact(b *strings.Builder, rep any) error {
+	if JSONPath == "" {
+		return nil
+	}
+	data, err := json.MarshalIndent(rep, "", "  ")
+	if err != nil {
+		return err
+	}
+	if err := os.WriteFile(JSONPath, append(data, '\n'), 0o644); err != nil {
+		return err
+	}
+	fmt.Fprintf(b, "\n[json artifact written to %s]\n", JSONPath)
+	return nil
+}
 
 // Experiment is one reproducible experiment.
 type Experiment struct {

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"os"
@@ -15,12 +14,6 @@ import (
 	"repro/internal/wal"
 	"repro/internal/workload"
 )
-
-// ElasticJSONPath, when non-empty (cmd/bench -json), receives the elastic
-// scale-out experiment's machine-readable result: the per-mode throughput
-// sweep, the rebalancer's move trajectory, and the live-split chaos
-// verification. CI checks the artifact in as BENCH_scaleout.json.
-var ElasticJSONPath string
 
 // The elastic experiment's workload shape: a ScrambledZipfian(0.99) draw
 // over contiguous blocks (the paper's "zipfian" skew, YCSB-style) with 10%
@@ -538,15 +531,8 @@ func init() {
 			}
 			b.WriteString("zero acked commits lost or made invisible across live splits.\n")
 
-			if ElasticJSONPath != "" {
-				data, err := json.MarshalIndent(rep, "", "  ")
-				if err != nil {
-					return "", err
-				}
-				if err := os.WriteFile(ElasticJSONPath, append(data, '\n'), 0o644); err != nil {
-					return "", err
-				}
-				fmt.Fprintf(&b, "\n[json artifact written to %s]\n", ElasticJSONPath)
+			if err := writeJSONArtifact(&b, rep); err != nil {
+				return "", err
 			}
 			return b.String(), nil
 		},

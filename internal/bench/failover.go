@@ -1,10 +1,8 @@
 package bench
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -26,11 +24,6 @@ var CheckpointIntervals = []int{0, 16384, 4096, 1024}
 // the lease is the knob trading steady-state renewal traffic against
 // failover latency, so recovery time is reported as a multiple of it.
 var GroupLeases = []time.Duration{25 * time.Millisecond, 50 * time.Millisecond, 100 * time.Millisecond}
-
-// FailoverJSONPath, when non-empty (cmd/bench -json), receives the failover
-// experiment's JSON artifact: recovery time vs lease duration plus the
-// zero-loss / fencing audit of each run.
-var FailoverJSONPath string
 
 // recoveryPoint builds a log of `commits` batched commits with a
 // checkpoint every `interval` commits (0 = never), then measures a cold
@@ -385,16 +378,9 @@ func init() {
 			b.WriteString("availability/traffic knob. standby reads count follower-shadow answers\n")
 			b.WriteString("landed while the group had no leader at all.\n")
 
-			if FailoverJSONPath != "" {
-				rep := failoverReport{Experiment: "failover", Quick: quick, Elections: points}
-				data, err := json.MarshalIndent(rep, "", "  ")
-				if err != nil {
-					return "", err
-				}
-				if err := os.WriteFile(FailoverJSONPath, append(data, '\n'), 0o644); err != nil {
-					return "", err
-				}
-				fmt.Fprintf(&b, "\n[json artifact written to %s]\n", FailoverJSONPath)
+			rep := failoverReport{Experiment: "failover", Quick: quick, Elections: points}
+			if err := writeJSONArtifact(&b, rep); err != nil {
+				return "", err
 			}
 			return b.String(), nil
 		},

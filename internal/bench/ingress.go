@@ -1,11 +1,9 @@
 package bench
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
-	"os"
 	"sort"
 	"strings"
 	"sync"
@@ -19,11 +17,6 @@ import (
 	"repro/internal/wal"
 	"repro/internal/workload"
 )
-
-// IngressJSONPath, when non-empty (cmd/bench -json), receives the ingress
-// overload experiment's machine-readable result. CI checks the artifact in
-// as BENCH_ingress.json.
-var IngressJSONPath string
 
 // The overload experiment's fixed parameters. Capacity is pinned by the
 // WAL's sequential-write bandwidth (as in the elastic experiment), so the
@@ -484,15 +477,8 @@ func init() {
 				return "", fmt.Errorf("ingress: protected p99 %.1fms blew through the %v deadline", on.P99Ms, ingressDeadline)
 			}
 
-			if IngressJSONPath != "" {
-				data, err := json.MarshalIndent(rep, "", "  ")
-				if err != nil {
-					return "", err
-				}
-				if err := os.WriteFile(IngressJSONPath, append(data, '\n'), 0o644); err != nil {
-					return "", err
-				}
-				fmt.Fprintf(&b, "\n[json artifact written to %s]\n", IngressJSONPath)
+			if err := writeJSONArtifact(&b, rep); err != nil {
+				return "", err
 			}
 			return b.String(), nil
 		},

@@ -1,11 +1,9 @@
 package bench
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
-	"os"
 	"sort"
 	"strings"
 	"sync"
@@ -17,11 +15,6 @@ import (
 	"repro/internal/oracle"
 	"repro/internal/tso"
 )
-
-// ObsJSONPath, when non-empty (cmd/bench -json), receives the observability
-// overhead experiment's machine-readable result. CI checks the artifact in
-// as BENCH_obs.json.
-var ObsJSONPath string
 
 // The overhead experiment's fixed parameters: an in-memory oracle (no WAL
 // throttle) so the commit round-trip is as lean as it gets and the tracing
@@ -205,15 +198,8 @@ func init() {
 					overhead, obsMaxOverheadPct, medOff, medOn)
 			}
 
-			if ObsJSONPath != "" {
-				data, err := json.MarshalIndent(rep, "", "  ")
-				if err != nil {
-					return "", err
-				}
-				if err := os.WriteFile(ObsJSONPath, append(data, '\n'), 0o644); err != nil {
-					return "", err
-				}
-				fmt.Fprintf(&b, "\n[json artifact written to %s]\n", ObsJSONPath)
+			if err := writeJSONArtifact(&b, rep); err != nil {
+				return "", err
 			}
 			return b.String(), nil
 		},

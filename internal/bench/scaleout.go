@@ -87,10 +87,14 @@ func scaleoutPoint(engine oracle.Engine, partitions, workers, batchSize int, cro
 	}
 
 	const rows = 20_000_000
+	router, err := partition.NewEvenRangeMap(partitions, rows)
+	if err != nil {
+		return 0, partition.Stats{}, err
+	}
 	lc, lerr := partition.NewLocal(partition.LocalConfig{
 		Partitions: partitions,
 		Engine:     engine,
-		Router:     partition.NewEvenRangeRouter(partitions, rows),
+		Router:     router,
 		WALFor:     walFor,
 		TSOBatch:   100_000,
 		// Acks wait for the durable verdict, not the decide fan-out; the

@@ -216,10 +216,14 @@ func Run(cfg Config) (Result, error) {
 	s := sim.New(cfg.Seed)
 	m := &model{cfg: cfg, sim: s}
 	if cfg.Partitions > 1 {
+		router, err := partition.NewEvenRangeMap(cfg.Partitions, uint64(cfg.Rows))
+		if err != nil {
+			return Result{}, err
+		}
 		lc, err := partition.NewLocal(partition.LocalConfig{
 			Partitions: cfg.Partitions,
 			Engine:     cfg.Engine,
-			Router:     partition.NewEvenRangeRouter(cfg.Partitions, uint64(cfg.Rows)),
+			Router:     router,
 		})
 		if err != nil {
 			return Result{}, err

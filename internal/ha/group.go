@@ -432,7 +432,12 @@ func (m *Member) followerTick() {
 	}
 	if _, err := sb.CatchUp(); err != nil {
 		m.cfg.Logf("ha: member %d tail epoch %d: %v", m.cfg.ID, epoch, err)
-		return
+		// A torn final batch means the leader crashed mid-append: the
+		// log cannot grow past it, so keep aging toward an election
+		// (the fence truncates it). Any other tail error waits.
+		if !errors.Is(err, wal.ErrTornTail) {
+			return
+		}
 	}
 	obs := sb.Observed()
 	m.mu.Lock()

@@ -1,8 +1,10 @@
 package ha
 
 import (
+	"encoding/binary"
 	"errors"
 	"math/rand"
+	"os"
 	"sync"
 	"testing"
 	"time"
@@ -122,6 +124,70 @@ func TestElectionAfterLeaderCrash(t *testing.T) {
 		if !errors.Is(err, wal.ErrFenced) {
 			t.Fatalf("old leader late commit %d: err = %v, want ErrFenced", i, err)
 		}
+	}
+}
+
+// TestFollowerWinsPastTornTail: a leader's machine crash leaves a
+// zero-filled final batch in its DirStore epoch file (the header and the
+// size extension reached disk, the body did not). The follower, tailing
+// through a read-only handle that never truncates, must still stand for
+// election and win the next epoch — its fence handle truncates the batch
+// and seals the file, and its drain re-indexes past it — with every acked
+// commit intact.
+func TestFollowerWinsPastTornTail(t *testing.T) {
+	store := &DirStore{Dir: t.TempDir()}
+	lease := 150 * time.Millisecond
+	members := []*Member{
+		groupMember(0, store, lease, true),
+		groupMember(1, store, lease, false),
+	}
+	for _, m := range members {
+		if err := m.Start(); err != nil {
+			t.Fatalf("start: %v", err)
+		}
+		defer m.Stop()
+	}
+	leader := waitLeader(t, members, nil, time.Second)
+	acked := commitN(t, leader.Oracle(), 100, 0)
+
+	leader.Stop()
+	f, err := os.OpenFile(store.path(1), os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	torn := binary.BigEndian.AppendUint64(nil, 64)
+	if _, err := f.Write(append(torn, make([]byte, 64)...)); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	successor := waitLeader(t, members, leader, 5*time.Second)
+	if successor.Epoch() != 2 {
+		t.Fatalf("successor epoch = %d, want 2", successor.Epoch())
+	}
+	tss := make([]uint64, 0, len(acked))
+	for ts := range acked {
+		tss = append(tss, ts)
+	}
+	sts := successor.Oracle().QueryBatch(tss)
+	for i, ts := range tss {
+		if sts[i].Status != oracle.StatusCommitted || sts[i].CommitTS != acked[ts] {
+			t.Fatalf("acked commit %d lost: %+v (want committed at %d)", ts, sts[i], acked[ts])
+		}
+	}
+	// The epoch-1 file lost only the torn batch and carries the new seal.
+	old, err := wal.OpenFileLedgerReader(store.path(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer old.Close()
+	if got := old.SealedEpoch(); got != 2 {
+		t.Fatalf("epoch-1 log sealed at %d, want 2", got)
+	}
+	if err := wal.Replay(old, func([]byte) error { return nil }); err != nil {
+		t.Fatalf("epoch-1 log does not replay after the fence: %v", err)
 	}
 }
 

@@ -255,25 +255,22 @@ type PromoteConfig struct {
 	// MinSeals sets that requirement (0 means all of Fence).
 	Fence    []wal.Ledger
 	MinSeals int
-	// FenceEpoch, when nonzero, makes the fence an election: each Fence
-	// ledger is sealed with wal.SealEpoch(FenceEpoch), and only seals this
-	// call newly won count toward MinSeals — a ledger already sealed at
+	// FenceEpoch makes the fence an election: each Fence ledger is
+	// sealed with wal.SealEpoch(FenceEpoch), and only seals this call
+	// newly won count toward MinSeals — a ledger already sealed at
 	// FenceEpoch (or higher) by a rival candidate counts against it. Each
 	// ledger grants an epoch at most once, so with MinSeals a majority of
 	// Fence, two candidates proposing the same epoch cannot both promote:
 	// the loser gets ErrElectionLost and its standby stays intact. The
 	// epoch is thereby the fencing token, derived from the seal itself.
 	FenceEpoch uint64
-	// WAL is the promoted oracle's writer (typically over fresh ledgers).
-	// The promotion writes a full checkpoint as its first record, so the
-	// new log is self-contained: recovering the promoted oracle never
-	// needs the sealed history. Nil leaves the promoted oracle
-	// memory-only.
-	WAL *wal.Writer
-	// NewWAL, when non-nil, takes precedence over WAL: it is called only
-	// after the fence quorum is won, so an election candidate creates the
-	// next epoch's ledger set exactly when it holds the fence — losers
-	// never create a rival log.
+	// NewWAL creates the promoted oracle's writer. It is called only after
+	// the fence quorum is won, so an election candidate creates the next
+	// epoch's ledger set exactly when it holds the fence — losers never
+	// create a rival log. The promotion writes a full checkpoint as the
+	// new log's first record, so it is self-contained: recovering the
+	// promoted oracle never needs the sealed history. Nil leaves the
+	// promoted oracle memory-only.
 	NewWAL func() (*wal.Writer, error)
 	// TSOBatch is the promoted timestamp oracle's reservation block size
 	// (0 selects the default).
@@ -307,13 +304,7 @@ func (s *Standby) Promote(pc PromoteConfig) (*oracle.StatusOracle, error) {
 	sealed, superseded := 0, 0
 	var sealErr error
 	for _, l := range pc.Fence {
-		var err error
-		if pc.FenceEpoch > 0 {
-			err = wal.SealEpoch(l, pc.FenceEpoch)
-		} else {
-			err = wal.Seal(l)
-		}
-		if err != nil {
+		if err := wal.SealEpoch(l, pc.FenceEpoch); err != nil {
 			if errors.Is(err, wal.ErrEpochSuperseded) {
 				superseded++
 			}
@@ -337,7 +328,7 @@ func (s *Standby) Promote(pc PromoteConfig) (*oracle.StatusOracle, error) {
 		return nil, err
 	}
 
-	w := pc.WAL
+	var w *wal.Writer
 	if pc.NewWAL != nil {
 		var err error
 		if w, err = pc.NewWAL(); err != nil {

@@ -22,6 +22,11 @@ func newWriter(t *testing.T, ledgers ...wal.Ledger) *wal.Writer {
 	return w
 }
 
+// promotedWAL returns a PromoteConfig.NewWAL that opens a writer over l.
+func promotedWAL(t *testing.T, l wal.Ledger) func() (*wal.Writer, error) {
+	return func() (*wal.Writer, error) { return newWriter(t, l), nil }
+}
+
 func newPrimary(t *testing.T, ledgers ...wal.Ledger) (*oracle.StatusOracle, *wal.Writer) {
 	t.Helper()
 	w := newWriter(t, ledgers...)
@@ -91,7 +96,7 @@ func TestFailoverStandbyTailsAndPromotes(t *testing.T) {
 	}
 
 	newLedger := wal.NewMemLedger()
-	promoted, err := sb.Promote(PromoteConfig{Fence: ledgers, WAL: newWriter(t, newLedger)})
+	promoted, err := sb.Promote(PromoteConfig{Fence: ledgers, FenceEpoch: 1, NewWAL: promotedWAL(t, newLedger)})
 	if err != nil {
 		t.Fatalf("promote: %v", err)
 	}
@@ -157,13 +162,13 @@ func TestFailoverPromotionRequiresQuorumOfSeals(t *testing.T) {
 	if err != nil {
 		t.Fatalf("standby: %v", err)
 	}
-	_, err = sb.Promote(PromoteConfig{Fence: []wal.Ledger{sealable, wal.DiscardLedger{}}})
+	_, err = sb.Promote(PromoteConfig{Fence: []wal.Ledger{sealable, wal.DiscardLedger{}}, FenceEpoch: 1})
 	if err == nil {
 		t.Fatalf("promotion succeeded with an unsealable ledger in the fence")
 	}
 	// With MinSeals relaxed to 1 the same fence is acceptable.
 	sb2, _ := NewStandby(oracle.Config{Engine: oracle.SI}, wal.NewMemLedger())
-	if _, err := sb2.Promote(PromoteConfig{Fence: []wal.Ledger{wal.NewMemLedger(), wal.DiscardLedger{}}, MinSeals: 1}); err != nil {
+	if _, err := sb2.Promote(PromoteConfig{Fence: []wal.Ledger{wal.NewMemLedger(), wal.DiscardLedger{}}, MinSeals: 1, FenceEpoch: 1}); err != nil {
 		t.Fatalf("promotion with MinSeals=1: %v", err)
 	}
 }
@@ -254,7 +259,7 @@ func TestFailoverChaosPromotionRace(t *testing.T) {
 	}
 	time.Sleep(10 * time.Millisecond)
 
-	promoted, err := sb.Promote(PromoteConfig{Fence: ledgers, WAL: newWriter(t, wal.NewMemLedger())})
+	promoted, err := sb.Promote(PromoteConfig{Fence: ledgers, FenceEpoch: 1, NewWAL: promotedWAL(t, wal.NewMemLedger())})
 	if err != nil {
 		t.Fatalf("promote: %v", err)
 	}

@@ -25,8 +25,8 @@ type atomicShard struct {
 // AtomicHistogram is a lock-free histogram with the same bucket layout as
 // Histogram, safe for concurrent Record from any number of goroutines. It is
 // built for always-on hot-path instrumentation: Record is a handful of
-// uncontended atomic adds, allocates nothing, and never takes a lock (the
-// mutex ConcurrentHistogram would re-serialize a path the rest of the stack
+// uncontended atomic adds, allocates nothing, and never takes a lock (a
+// mutex around a Histogram would re-serialize a path the rest of the stack
 // works hard to keep parallel). The zero value is ready to use; shards are
 // allocated lazily on first use so idle histograms cost one pointer array.
 //

@@ -15,7 +15,6 @@ import (
 	"math/bits"
 	"sort"
 	"strings"
-	"sync"
 )
 
 const (
@@ -30,7 +29,7 @@ const (
 // Histogram records non-negative integer samples (typically latencies in
 // microseconds) with bounded relative error. The zero value is ready to use.
 // Histogram is not safe for concurrent use; wrap it in a Mutex or use
-// ConcurrentHistogram when recording from multiple goroutines.
+// AtomicHistogram when recording from multiple goroutines.
 type Histogram struct {
 	counts [maxMagnitude * subBuckets]int64
 	total  int64
@@ -177,47 +176,6 @@ func (h *Histogram) Reset() {
 func (h *Histogram) String() string {
 	return fmt.Sprintf("n=%d mean=%.1f p50=%d p95=%d p99=%d max=%d",
 		h.total, h.Mean(), h.Quantile(0.50), h.Quantile(0.95), h.Quantile(0.99), h.max)
-}
-
-// ConcurrentHistogram is a mutex-protected Histogram safe for concurrent use.
-type ConcurrentHistogram struct {
-	mu sync.Mutex
-	h  Histogram
-}
-
-// Record adds one sample.
-func (c *ConcurrentHistogram) Record(v int64) {
-	c.mu.Lock()
-	c.h.Record(v)
-	c.mu.Unlock()
-}
-
-// Snapshot returns a copy of the underlying histogram.
-func (c *ConcurrentHistogram) Snapshot() Histogram {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.h
-}
-
-// Counter is an atomic-free counter protected by a mutex; used where exact
-// totals matter more than raw speed.
-type Counter struct {
-	mu sync.Mutex
-	n  int64
-}
-
-// Add increments the counter by d.
-func (c *Counter) Add(d int64) {
-	c.mu.Lock()
-	c.n += d
-	c.mu.Unlock()
-}
-
-// Value returns the current count.
-func (c *Counter) Value() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.n
 }
 
 // Series is an ordered set of (x, y) points, used to accumulate the data

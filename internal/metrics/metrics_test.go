@@ -146,45 +146,6 @@ func TestHistogramReset(t *testing.T) {
 	}
 }
 
-func TestConcurrentHistogram(t *testing.T) {
-	var ch ConcurrentHistogram
-	done := make(chan struct{})
-	for g := 0; g < 8; g++ {
-		go func(g int) {
-			for i := 0; i < 1000; i++ {
-				ch.Record(int64(g*1000 + i))
-			}
-			done <- struct{}{}
-		}(g)
-	}
-	for g := 0; g < 8; g++ {
-		<-done
-	}
-	snap := ch.Snapshot()
-	if snap.Count() != 8000 {
-		t.Fatalf("count = %d, want 8000", snap.Count())
-	}
-}
-
-func TestCounter(t *testing.T) {
-	var c Counter
-	done := make(chan struct{})
-	for g := 0; g < 4; g++ {
-		go func() {
-			for i := 0; i < 1000; i++ {
-				c.Add(2)
-			}
-			done <- struct{}{}
-		}()
-	}
-	for g := 0; g < 4; g++ {
-		<-done
-	}
-	if c.Value() != 8000 {
-		t.Fatalf("counter = %d, want 8000", c.Value())
-	}
-}
-
 func TestSeriesSorted(t *testing.T) {
 	s := &Series{Name: "x"}
 	s.Add(3, 30)

@@ -268,7 +268,10 @@ func (s *StatusOracle) CommitBatchInto(reqs []CommitRequest, scratch []CommitRes
 	// moment it acknowledges.
 	if s.cfg.WAL != nil {
 		rec := walRecPool.Get().(*[]byte)
-		*rec = appendCommitBatchRecord((*rec)[:0], reqs, committed, lo)
+		*rec = appendCommitBatchRecord((*rec)[:0], len(committed), func(k int) (uint64, uint64, []RowID) {
+			req := &reqs[committed[k]]
+			return req.StartTS, lo + uint64(k), req.WriteSet
+		})
 		var entriesBuf [8][]byte
 		entries := append(entriesBuf[:0], *rec)
 		for _, a := range aborts {
@@ -298,16 +301,21 @@ func (s *StatusOracle) CommitBatchInto(reqs []CommitRequest, scratch []CommitRes
 // buffer is reusable as soon as the append is acknowledged.
 var walRecPool = sync.Pool{New: func() interface{} { b := make([]byte, 0, 1024); return &b }}
 
-// appendCommitBatchRecord renders the committed subset of a batch directly
-// from the request slice as one recCommitBatch WAL record, skipping the
-// intermediate commitEntry vector. Layout matches encodeCommitBatchRecord.
-func appendCommitBatchRecord(b []byte, reqs []CommitRequest, committed []int, lo uint64) []byte {
+// appendCommitBatchRecord appends one recCommitBatch WAL record holding n
+// commits to b, so an entire batch costs a single group-commit append.
+// commit(k) returns the k-th commit's start timestamp, commit timestamp
+// and write set; reading them straight from the caller's requests skips
+// any intermediate vector. Layout:
+//
+//	[1] kind | [4] count | count × ( [8] startTS | [8] commitTS | [4] n | n×[8] row ids )
+func appendCommitBatchRecord(b []byte, n int, commit func(k int) (startTS, commitTS uint64, writeSet []RowID)) []byte {
 	b = append(b, recCommitBatch)
-	b = appendU32(b, uint32(len(committed)))
-	for k, i := range committed {
-		b = appendU64(b, reqs[i].StartTS)
-		b = appendU64(b, lo+uint64(k))
-		b = appendRowSet(b, reqs[i].WriteSet)
+	b = appendU32(b, uint32(n))
+	for k := 0; k < n; k++ {
+		startTS, commitTS, writeSet := commit(k)
+		b = appendU64(b, startTS)
+		b = appendU64(b, commitTS)
+		b = appendRowSet(b, writeSet)
 	}
 	return b
 }

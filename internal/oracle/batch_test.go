@@ -1,8 +1,10 @@
 package oracle
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -342,7 +344,16 @@ func TestCommitBatchRecordRoundTrip(t *testing.T) {
 		{StartTS: 5, CommitTS: 11, WriteSet: nil},
 		{StartTS: 7, CommitTS: 12, WriteSet: []RowID{9}},
 	}
-	enc := encodeCommitBatchRecord(commits)
+	// Encode after a stale prefix: the encoder appends, as it does into
+	// a recycled pool buffer.
+	prefix := []byte("stale")
+	enc := appendCommitBatchRecord(prefix, len(commits), func(k int) (uint64, uint64, []RowID) {
+		return commits[k].StartTS, commits[k].CommitTS, commits[k].WriteSet
+	})
+	if !bytes.Equal(enc[:len(prefix)], []byte("stale")) {
+		t.Fatalf("encoder overwrote the buffer prefix: %q", enc[:len(prefix)])
+	}
+	enc = enc[len(prefix):]
 	dec, err := decodeCommitBatchRecord(enc)
 	if err != nil {
 		t.Fatal(err)
@@ -352,7 +363,7 @@ func TestCommitBatchRecordRoundTrip(t *testing.T) {
 	}
 	for i := range commits {
 		if dec[i].StartTS != commits[i].StartTS || dec[i].CommitTS != commits[i].CommitTS ||
-			len(dec[i].WriteSet) != len(commits[i].WriteSet) {
+			!slices.Equal(dec[i].WriteSet, commits[i].WriteSet) {
 			t.Fatalf("entry %d: %+v != %+v", i, dec[i], commits[i])
 		}
 	}

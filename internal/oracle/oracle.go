@@ -75,38 +75,10 @@ func (e Engine) String() string {
 	}
 }
 
-// TableKind selects the lastCommit storage backend of a shard.
-type TableKind uint8
-
-const (
-	// TableOpen (the default) stores lastCommit in an open-addressed,
-	// linear-probe slot array: conflict checks are inline cache-line scans
-	// with zero pointer chasing and zero steady-state allocation.
-	TableOpen TableKind = iota
-	// TableMap keeps the original map[RowID]uint64 shard, retained as the
-	// reference implementation behind Config.Table; the equivalence tests
-	// prove the two backends produce bit-identical decisions.
-	TableMap
-)
-
-func (k TableKind) String() string {
-	switch k {
-	case TableOpen:
-		return "open"
-	case TableMap:
-		return "map"
-	default:
-		return fmt.Sprintf("TableKind(%d)", uint8(k))
-	}
-}
-
 // Config parameterizes a status oracle.
 type Config struct {
 	// Engine selects SI or WSI conflict detection.
 	Engine Engine
-	// Table selects the lastCommit storage backend: TableOpen (default)
-	// or the map-based reference implementation.
-	Table TableKind
 	// MaxRows bounds the number of rows retained in lastCommit
 	// (Algorithm 3's NR). Zero keeps every row (no Tmax aborts).
 	MaxRows int
@@ -192,7 +164,12 @@ type StatusOracle struct {
 }
 
 // New creates a status oracle.
-func New(cfg Config) (*StatusOracle, error) {
+func New(cfg Config) (*StatusOracle, error) { return newWithRows(cfg, newOpenRows) }
+
+// newWithRows creates a status oracle whose shards keep lastCommit in tables
+// built by newRows. New passes the open-addressed table; the equivalence
+// test passes its map-based reference table.
+func newWithRows(cfg Config, newRows func(sizeHint int) rowTable) (*StatusOracle, error) {
 	if cfg.TSO == nil {
 		return nil, ErrNoTSO
 	}
@@ -216,7 +193,7 @@ func New(cfg Config) (*StatusOracle, error) {
 	}
 	s.shards = make([]*shard, cfg.Shards)
 	for i := range s.shards {
-		s.shards[i] = newShard(perShard, cfg.Table)
+		s.shards[i] = &shard{capacity: perShard, rows: newRows(perShard), newRows: newRows}
 	}
 	return s, nil
 }
@@ -360,16 +337,16 @@ func (s *StatusOracle) LastCommitOf(r RowID) (uint64, bool) {
 }
 
 // Stats returns a snapshot of the oracle's counters. TableLoadFactor and
-// Rehashes come from the live open-addressed shards (zero under TableMap).
+// Rehashes come from the live open-addressed shards.
 func (s *StatusOracle) Stats() Stats {
 	st := s.stats.snapshot()
 	var live, slots, rehashes int64
 	for _, sh := range s.shards {
 		sh.mu.Lock()
-		if sh.rows != nil {
-			live += int64(sh.rows.len())
-			slots += int64(sh.rows.slotCount())
-			rehashes += sh.rows.rehashes
+		if t, ok := sh.rows.(*openRowTable); ok {
+			live += int64(t.len())
+			slots += int64(t.slotCount())
+			rehashes += t.rehashes
 		}
 		sh.mu.Unlock()
 	}
@@ -382,17 +359,15 @@ func (s *StatusOracle) Stats() Stats {
 }
 
 // shard is one lock-striped fragment of the lastCommit state. capacity 0
-// means unbounded. Exactly one of rows (open-addressed, the default) and
-// lastCommit (the map reference implementation) is non-nil; getRow/putRow/
-// delRow dispatch on that, and the branch is cheaper than an interface call
-// on the conflict check's inner loop.
+// means unbounded. rows holds the retained (row, last-commit timestamp)
+// pairs; newRows rebuilds it when a checkpoint restore resets the shard.
 type shard struct {
-	mu         sync.Mutex
-	rows       *openRowTable
-	lastCommit map[RowID]uint64
-	queue      []evictEntry // FIFO of insertions for NR-bounded eviction
-	capacity   int
-	tmax       uint64
+	mu       sync.Mutex
+	rows     rowTable
+	newRows  func(sizeHint int) rowTable
+	queue    []evictEntry // FIFO of insertions for NR-bounded eviction
+	capacity int
+	tmax     uint64
 	// Prepared-row refcounts of the two-phase protocol (prepare.go):
 	// in-flight prepared writers and — under WSI — prepared readers of
 	// each row. Allocated lazily so the unpartitioned path never pays
@@ -406,72 +381,27 @@ type evictEntry struct {
 	ts  uint64
 }
 
-func newShard(capacity int, kind TableKind) *shard {
-	sh := &shard{capacity: capacity}
-	if kind == TableMap {
-		sh.lastCommit = make(map[RowID]uint64)
-	} else {
-		sh.rows = newOpenRowTable(capacity)
-	}
-	return sh
-}
-
 // getRow returns a row's retained last-commit timestamp. Caller holds sh.mu.
-func (sh *shard) getRow(r RowID) (uint64, bool) {
-	if sh.rows != nil {
-		return sh.rows.get(uint64(r))
-	}
-	tc, ok := sh.lastCommit[r]
-	return tc, ok
-}
+func (sh *shard) getRow(r RowID) (uint64, bool) { return sh.rows.get(uint64(r)) }
 
 // putRow inserts or overwrites a row's timestamp. Caller holds sh.mu.
-func (sh *shard) putRow(r RowID, ts uint64) {
-	if sh.rows != nil {
-		sh.rows.put(uint64(r), ts)
-		return
-	}
-	sh.lastCommit[r] = ts
-}
+func (sh *shard) putRow(r RowID, ts uint64) { sh.rows.put(uint64(r), ts) }
 
 // delRow removes a row. Caller holds sh.mu.
-func (sh *shard) delRow(r RowID) {
-	if sh.rows != nil {
-		sh.rows.del(uint64(r))
-		return
-	}
-	delete(sh.lastCommit, r)
-}
+func (sh *shard) delRow(r RowID) { sh.rows.del(uint64(r)) }
 
 // rowCount returns the number of retained rows. Caller holds sh.mu.
-func (sh *shard) rowCount() int {
-	if sh.rows != nil {
-		return sh.rows.len()
-	}
-	return len(sh.lastCommit)
-}
+func (sh *shard) rowCount() int { return sh.rows.len() }
 
 // forEachRow visits every retained row in unspecified order. Caller holds
 // sh.mu.
 func (sh *shard) forEachRow(fn func(r RowID, ts uint64)) {
-	if sh.rows != nil {
-		sh.rows.forEach(func(k, ts uint64) { fn(RowID(k), ts) })
-		return
-	}
-	for r, ts := range sh.lastCommit {
-		fn(r, ts)
-	}
+	sh.rows.forEach(func(k, ts uint64) { fn(RowID(k), ts) })
 }
 
 // resetRows clears the row storage, pre-sizing for n rows. Caller holds
 // sh.mu.
-func (sh *shard) resetRows(n int) {
-	if sh.rows != nil {
-		sh.rows = newOpenRowTable(n)
-		return
-	}
-	sh.lastCommit = make(map[RowID]uint64, n)
-}
+func (sh *shard) resetRows(n int) { sh.rows = sh.newRows(n) }
 
 // update sets the row's last commit timestamp and evicts the oldest rows
 // beyond capacity, maintaining tmax. Caller holds sh.mu.

@@ -476,21 +476,20 @@ func (s *StatusOracle) CommitAtBatch(reqs []PrepareRequest) ([]CommitResult, err
 	writeTxns := int64(len(reqs)) - readOnly
 	if s.cfg.WAL != nil && (len(committed) > 0 || len(aborts) > 0) {
 		entries := make([][]byte, 0, 1+len(aborts))
+		rec := walRecPool.Get().(*[]byte)
 		if len(committed) > 0 {
-			commits := make([]commitEntry, len(committed))
-			for k, i := range committed {
-				commits[k] = commitEntry{
-					StartTS:  reqs[i].StartTS,
-					CommitTS: reqs[i].CommitTS,
-					WriteSet: reqs[i].WriteSet,
-				}
-			}
-			entries = append(entries, encodeCommitBatchRecord(commits))
+			*rec = appendCommitBatchRecord((*rec)[:0], len(committed), func(k int) (uint64, uint64, []RowID) {
+				req := &reqs[committed[k]]
+				return req.StartTS, req.CommitTS, req.WriteSet
+			})
+			entries = append(entries, *rec)
 		}
 		for _, a := range aborts {
 			entries = append(entries, encodeAbortRecord(reqs[a.idx].StartTS))
 		}
-		if err := s.cfg.WAL.AppendAll(entries...); err != nil {
+		err := s.cfg.WAL.AppendAll(entries...)
+		walRecPool.Put(rec)
+		if err != nil {
 			s.latchFence(err)
 			s.stats.applyBatch(readOnly, 0, int64(len(aborts)), tmaxAborts, writeTxns)
 			return nil, fmt.Errorf("oracle: persist commit batch: %w", err)

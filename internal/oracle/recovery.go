@@ -18,41 +18,15 @@ const (
 	recCommitBatch = 0x42 // 'B': count, then per commit: startTS, commitTS, write set
 )
 
-// commitEntry is one committed transaction inside a batch record.
+// commitEntry is one committed transaction of a decoded batch record.
 type commitEntry struct {
 	StartTS  uint64
 	CommitTS uint64
 	WriteSet []RowID
 }
 
-// encodeCommitBatchRecord renders the committed subset of a CommitBatch as
-// one WAL entry, so an entire batch costs a single group-commit append.
-// Layout:
-//
-//	[1] kind | [4] count | count × ( [8] startTS | [8] commitTS | [4] n | n×[8] row ids )
-func encodeCommitBatchRecord(commits []commitEntry) []byte {
-	size := 1 + 4
-	for i := range commits {
-		size += 8 + 8 + 4 + 8*len(commits[i].WriteSet)
-	}
-	b := make([]byte, size)
-	b[0] = recCommitBatch
-	binary.BigEndian.PutUint32(b[1:5], uint32(len(commits)))
-	off := 5
-	for i := range commits {
-		c := &commits[i]
-		binary.BigEndian.PutUint64(b[off:], c.StartTS)
-		binary.BigEndian.PutUint64(b[off+8:], c.CommitTS)
-		binary.BigEndian.PutUint32(b[off+16:], uint32(len(c.WriteSet)))
-		off += 20
-		for _, r := range c.WriteSet {
-			binary.BigEndian.PutUint64(b[off:], uint64(r))
-			off += 8
-		}
-	}
-	return b
-}
-
+// decodeCommitBatchRecord parses a record appendCommitBatchRecord wrote,
+// for replay.
 func decodeCommitBatchRecord(b []byte) ([]commitEntry, error) {
 	if len(b) < 5 || b[0] != recCommitBatch {
 		return nil, fmt.Errorf("oracle: not a commit-batch record")

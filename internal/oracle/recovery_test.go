@@ -95,6 +95,53 @@ func TestRecoverRebuildsLastCommit(t *testing.T) {
 	}
 }
 
+// TestRecoverCommitAtBatch: the one-shot partition path (CommitAtBatch)
+// persists its batch through the same commit-batch record as CommitBatch,
+// at the coordinator-supplied commit timestamps; replay restores the
+// commits, the aborts and the exact lastCommit timestamps.
+func TestRecoverCommitAtBatch(t *testing.T) {
+	so, ledger, w := durableOracle(t, WSI, 0)
+	a, b, c := mustBegin(t, so), mustBegin(t, so), mustBegin(t, so)
+	ct, err := so.BeginBlock(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := so.CommitAtBatch([]PrepareRequest{
+		{StartTS: a, CommitTS: ct, WriteSet: rows("x", "y")},
+		{StartTS: b, CommitTS: ct + 1, WriteSet: rows("z"), ReadSet: rows("x")}, // reads a's write: aborts
+		{StartTS: c, CommitTS: ct + 2, WriteSet: rows("w")},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res[0].Committed || res[1].Committed || !res[2].Committed {
+		t.Fatalf("CommitAtBatch results = %+v, want commit, abort, commit", res)
+	}
+	w.Flush()
+
+	so2, err := Recover(Config{Engine: WSI, TSO: tso.New(0, nil)}, ledger)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []TxnStatus{
+		{Status: StatusCommitted, CommitTS: ct},
+		{Status: StatusAborted},
+		{Status: StatusCommitted, CommitTS: ct + 2},
+	} {
+		if st := so2.Query([]uint64{a, b, c}[i]); st != want {
+			t.Fatalf("recovered query %d = %+v, want %+v", i, st, want)
+		}
+	}
+	for row, want := range map[string]uint64{"x": ct, "y": ct, "w": ct + 2} {
+		if tc, ok := so2.LastCommitOf(HashRow(row)); !ok || tc != want {
+			t.Fatalf("recovered lastCommit(%s) = %d,%v want %d", row, tc, ok, want)
+		}
+	}
+	if _, ok := so2.LastCommitOf(HashRow("z")); ok {
+		t.Fatal("aborted write of z replayed into lastCommit")
+	}
+}
+
 func TestRecoverEquivalentDecisions(t *testing.T) {
 	// Run a random prefix, crash, recover, and check that a fresh
 	// deterministic suffix of requests gets identical decisions from the

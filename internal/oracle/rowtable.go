@@ -12,9 +12,26 @@ package oracle
 // a retained twin array — the table never degrades and never allocates once
 // it has reached its working-set size.
 //
-// The map-based shard survives behind Config.Table = TableMap; the
-// equivalence tests in rowtable_test.go and tableequiv_test.go prove the
-// two produce bit-identical oracle decisions.
+// The map-based shard it replaced survives only as a test reference:
+// tableequiv_test.go runs a whole oracle over it and proves both produce
+// bit-identical decisions, and rowtable_test.go fuzzes the open table
+// against a plain map.
+
+// rowTable is a shard's lastCommit storage, a map from row id to last
+// commit timestamp. Shards are built over *openRowTable; the interface is
+// the seam through which the equivalence test swaps in its map reference.
+// Implementations need not be safe for concurrent use: the owning shard's
+// mutex serializes access.
+type rowTable interface {
+	get(key uint64) (uint64, bool)
+	put(key, ts uint64)
+	del(key uint64)
+	len() int
+	forEach(fn func(key, ts uint64))
+}
+
+// newOpenRows builds a shard's production row table.
+func newOpenRows(sizeHint int) rowTable { return newOpenRowTable(sizeHint) }
 
 // rowSlot is one inline slot of the open table. key == 0 marks an empty
 // slot; RowID 0 itself (a valid FNV hash value) is carried out of line in
@@ -38,7 +55,7 @@ const maxTableLoad = 3
 
 // openRowTable is an open-addressed, linear-probe hash table from RowID to
 // last-commit timestamp. Not safe for concurrent use; the owning shard's
-// mutex serializes access exactly as it did for the map.
+// mutex serializes access.
 type openRowTable struct {
 	slots []rowSlot
 	mask  uint64

@@ -68,10 +68,9 @@ type Stats struct {
 	DecideWaitAvg       float64
 	CrossPartitionRatio float64
 	// Allocation-discipline counters. TableLoadFactor is the live-key /
-	// slot ratio of the open-addressed lastCommit shards (0 under
-	// TableMap) and Rehashes the number of incremental growth passes they
-	// have run; together they say whether the conflict-check scan lengths
-	// are healthy.
+	// slot ratio of the open-addressed lastCommit shards and Rehashes the
+	// number of incremental growth passes they have run; together they say
+	// whether the conflict-check scan lengths are healthy.
 	TableLoadFactor float64
 	Rehashes        int64
 	// SliceLoads is the per-key-range write-load histogram (LoadBuckets

@@ -7,32 +7,49 @@ import (
 	"repro/internal/tso"
 )
 
+// mapRowTable is the map-based lastCommit shard the open-addressed table
+// replaced, kept as the reference implementation TestTableKindsEquivalent
+// runs a whole oracle over.
+type mapRowTable map[uint64]uint64
+
+func (m mapRowTable) get(key uint64) (uint64, bool) { ts, ok := m[key]; return ts, ok }
+func (m mapRowTable) put(key, ts uint64)            { m[key] = ts }
+func (m mapRowTable) del(key uint64)                { delete(m, key) }
+func (m mapRowTable) len() int                      { return len(m) }
+func (m mapRowTable) forEach(fn func(key, ts uint64)) {
+	for k, ts := range m {
+		fn(k, ts)
+	}
+}
+
+func newMapRows(sizeHint int) rowTable { return make(mapRowTable, sizeHint) }
+
 // TestTableKindsEquivalent drives an identical randomized command stream —
 // commit batches with overlapping row sets, explicit aborts, decide
-// replays via updateMax, and status queries — through a TableOpen and a
-// TableMap oracle, and asserts every externally visible decision is
-// bit-identical: commit verdicts, commit timestamps, statuses, retained
-// rows, Tmax. Bounded configurations force eviction (backward-shift
-// deletes on the open table) on every hot row.
+// replays via updateMax, and status queries — through the production
+// oracle (open-addressed shards) and one built over the map reference
+// table, and asserts every externally visible decision is bit-identical:
+// commit verdicts, commit timestamps, statuses, retained rows, Tmax.
+// Bounded configurations force eviction (backward-shift deletes on the
+// open table) on every hot row.
 func TestTableKindsEquivalent(t *testing.T) {
 	for _, engine := range []Engine{SI, WSI} {
 		for _, maxRows := range []int{0, 64} {
 			for _, shards := range []int{1, 4} {
-				mk := func(kind TableKind) *StatusOracle {
-					so, err := New(Config{
+				mk := func(newRows func(int) rowTable) *StatusOracle {
+					so, err := newWithRows(Config{
 						Engine:     engine,
-						Table:      kind,
 						MaxRows:    maxRows,
 						MaxCommits: 256,
 						Shards:     shards,
 						TSO:        tso.New(0, nil),
-					})
+					}, newRows)
 					if err != nil {
 						t.Fatal(err)
 					}
 					return so
 				}
-				open, mapped := mk(TableOpen), mk(TableMap)
+				open, mapped := mk(newOpenRows), mk(newMapRows)
 				rng := rand.New(rand.NewSource(int64(maxRows)*31 + int64(shards)))
 				var starts []uint64
 				const rows = 200 // small space: heavy overlap, heavy eviction

@@ -23,10 +23,14 @@ func BenchmarkPartitionedCommit(b *testing.B) {
 			}
 			name := fmt.Sprintf("parts=%d/cross=%.0f%%", parts, cross*100)
 			b.Run(name, func(b *testing.B) {
+				router, err := NewEvenRangeMap(parts, rows)
+				if err != nil {
+					b.Fatal(err)
+				}
 				lc, err := NewLocal(LocalConfig{
 					Partitions: parts,
 					Engine:     oracle.WSI,
-					Router:     NewEvenRangeRouter(parts, rows),
+					Router:     router,
 				})
 				if err != nil {
 					b.Fatal(err)

@@ -19,7 +19,10 @@ func TestRouters(t *testing.T) {
 			t.Fatalf("hash route %d -> %d", r, p)
 		}
 	}
-	rr := NewEvenRangeRouter(4, 400)
+	rr, err := NewEvenRangeMap(4, 400)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if rr.Partitions() != 4 {
 		t.Fatalf("range partitions = %d", rr.Partitions())
 	}
@@ -31,8 +34,39 @@ func TestRouters(t *testing.T) {
 			t.Fatalf("range route %d -> %d, want %d", tc.row, p, tc.want)
 		}
 	}
-	if _, err := ParseRouter("range:100,200,300", 4); err != nil {
+	// Fewer rows than partitions cannot give every partition a slice.
+	for _, parts := range []int{2, 3} {
+		if _, err := NewEvenRangeMap(parts, 1); err == nil {
+			t.Fatalf("NewEvenRangeMap(%d, 1) accepted", parts)
+		}
+	}
+	// Explicit splits: partition i owns [s_i, s_i+1), the last one owns
+	// everything from the last split up.
+	pr, err := ParseRouter("range:100,200,300", 4)
+	if err != nil {
 		t.Fatalf("parse range: %v", err)
+	}
+	for _, tc := range []struct {
+		row  oracle.RowID
+		want int
+	}{{0, 0}, {99, 0}, {100, 1}, {199, 1}, {200, 2}, {299, 2}, {300, 3}, {1 << 62, 3}} {
+		if p := pr.Partition(tc.row); p != tc.want {
+			t.Fatalf("range:100,200,300 routes %d -> %d, want %d", tc.row, p, tc.want)
+		}
+	}
+	// "range" splits the whole 64-bit space evenly.
+	full, err := ParseRouter("range", 4)
+	if err != nil {
+		t.Fatalf("parse range: %v", err)
+	}
+	quarter := ^uint64(0) / 4
+	for _, tc := range []struct {
+		row  uint64
+		want int
+	}{{0, 0}, {quarter - 1, 0}, {quarter, 1}, {3 * quarter, 3}, {^uint64(0), 3}} {
+		if p := full.Partition(oracle.RowID(tc.row)); p != tc.want {
+			t.Fatalf("range routes %d -> %d, want %d", tc.row, p, tc.want)
+		}
 	}
 	if _, err := ParseRouter("range:100,50", 3); err == nil {
 		t.Fatalf("descending splits accepted")

@@ -9,11 +9,12 @@ import (
 	"repro/internal/oracle"
 )
 
-// RangeMap is the elastic router: an arbitrary assignment of contiguous
-// key ranges to partitions. Unlike RangeRouter, whose n-1 split points pin
-// partition i to the i-th slice, a RangeMap carries an explicit owner per
-// segment — so a rebalance can carve a hot sub-range off partition 0 and
-// hand it to partition 3 without renumbering anything. Segment i covers
+// RangeMap is the range router: an arbitrary assignment of contiguous key
+// ranges to partitions. Range slicing keeps workloads with locality (and
+// the bench harness's dense row indexes) mostly single-partition. A
+// RangeMap carries an explicit owner per segment — so a rebalance can
+// carve a hot sub-range off partition 0 and hand it to partition 3
+// without renumbering anything. Segment i covers
 // [splits[i-1], splits[i]) (segment 0 starts at 0, the last segment is
 // unbounded above) and is owned by owners[i].
 //
@@ -62,13 +63,17 @@ func NewSingleOwnerRangeMap(parts, owner int) (*RangeMap, error) {
 	return NewRangeMap(nil, []int{owner}, parts)
 }
 
-// NewEvenRangeMap splits [0, space) into parts equal slices owned in order
-// — the static range router expressed as a RangeMap, so it can be
-// rebalanced later. The last slice is unbounded above (rows past space
-// stay with the last partition).
+// NewEvenRangeMap splits [0, space) into parts equal slices owned in order,
+// the static range slicing that can still be rebalanced later. The last
+// slice is unbounded above (rows past space stay with the last
+// partition). A space smaller than parts leaves no room for parts
+// distinct slices and fails.
 func NewEvenRangeMap(parts int, space uint64) (*RangeMap, error) {
 	if parts <= 1 {
 		return NewSingleOwnerRangeMap(1, 0)
+	}
+	if space < uint64(parts) {
+		return nil, fmt.Errorf("partition: cannot split %d rows into %d ranges", space, parts)
 	}
 	splits := make([]uint64, parts-1)
 	owners := make([]int, parts)
@@ -253,21 +258,10 @@ func parseRangeMapSpec(spec string) (*RangeMap, error) {
 // the epoch-aware redirect carries it so a stale client can adopt the
 // server's routing table without an out-of-band channel.
 func RouterSpec(r Router) string {
-	switch rt := r.(type) {
-	case *RangeMap:
-		return rt.Spec()
-	case RangeRouter:
-		if len(rt.splits) == 0 {
-			return "range:"
-		}
-		ss := make([]string, len(rt.splits))
-		for i, s := range rt.splits {
-			ss[i] = strconv.FormatUint(s, 10)
-		}
-		return "range:" + strings.Join(ss, ",")
-	default:
-		return "hash"
+	if m, ok := r.(*RangeMap); ok {
+		return m.Spec()
 	}
+	return "hash"
 }
 
 // RoutingTable is a router under an epoch fence. Epochs are strictly

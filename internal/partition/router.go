@@ -22,7 +22,6 @@ package partition
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -62,64 +61,20 @@ func (h HashRouter) Partitions() int { return h.n }
 
 func (h HashRouter) String() string { return fmt.Sprintf("hash(%d)", h.n) }
 
-// RangeRouter slices the row-id space into contiguous ranges: partition 0
-// owns [0, splits[0]), partition i owns [splits[i-1], splits[i]), and the
-// last partition owns [splits[n-2], 2^64). Range slicing keeps workloads
-// with locality (and the bench harness's dense row indexes) mostly
-// single-partition, and the split points can be rebalanced without
-// remapping the whole space.
-type RangeRouter struct {
-	splits []uint64 // ascending lower bounds of partitions 1..n-1
-}
-
-// NewRangeRouter builds a range router from the ascending lower bounds of
-// partitions 1..n-1 (so len(splits)+1 partitions).
-func NewRangeRouter(splits []uint64) (RangeRouter, error) {
-	for i := 1; i < len(splits); i++ {
-		if splits[i] <= splits[i-1] {
-			return RangeRouter{}, fmt.Errorf("partition: range splits must be strictly ascending, got %d after %d", splits[i], splits[i-1])
-		}
-	}
-	return RangeRouter{splits: append([]uint64(nil), splits...)}, nil
-}
-
-// NewEvenRangeRouter splits [0, space) into n equal slices. The bench
-// harness uses it with space = the workload's row count, since its row ids
-// are the dense record indexes themselves.
-func NewEvenRangeRouter(n int, space uint64) RangeRouter {
-	if n <= 1 {
-		return RangeRouter{}
-	}
-	splits := make([]uint64, n-1)
-	for i := range splits {
-		splits[i] = uint64(i+1) * (space / uint64(n))
-	}
-	r, _ := NewRangeRouter(splits)
-	return r
-}
-
-// Partition implements Router.
-func (rr RangeRouter) Partition(r oracle.RowID) int {
-	return sort.Search(len(rr.splits), func(i int) bool { return uint64(r) < rr.splits[i] })
-}
-
-// Partitions implements Router.
-func (rr RangeRouter) Partitions() int { return len(rr.splits) + 1 }
-
-func (rr RangeRouter) String() string { return fmt.Sprintf("range(%d)", rr.Partitions()) }
-
 // ParseRouter builds a router from a flag-style spec for n partitions:
 // "hash" (the default), "range" (even slices over the full 64-bit row-id
-// space), "range:s1,s2,..." with explicit ascending split points ("range:"
-// with no splits is the single-partition range router), or
-// "map:<parts>;o0,o1,...;s1,s2,..." — an elastic RangeMap with explicit
-// per-segment owners, the syntax RoutingTable redirects carry.
+// space), "range:s1,s2,..." with explicit ascending split points, where
+// partition 0 owns [0, s1), partition i owns [s_i, s_i+1) and the last
+// partition owns everything from the last split up ("range:" with no
+// splits is the single-partition router), or
+// "map:<parts>;o0,o1,...;s1,s2,..." — explicit per-segment owners, the
+// syntax RoutingTable redirects carry. Every range spec builds a RangeMap.
 func ParseRouter(spec string, n int) (Router, error) {
 	switch {
 	case spec == "" || spec == "hash":
 		return NewHashRouter(n), nil
 	case spec == "range":
-		return NewEvenRangeRouter(n, ^uint64(0)), nil
+		return NewEvenRangeMap(n, ^uint64(0))
 	case strings.HasPrefix(spec, "range:"):
 		var splits []uint64
 		for _, p := range strings.Split(strings.TrimPrefix(spec, "range:"), ",") {
@@ -133,14 +88,14 @@ func ParseRouter(spec string, n int) (Router, error) {
 			}
 			splits = append(splits, v)
 		}
-		rr, err := NewRangeRouter(splits)
-		if err != nil {
-			return nil, err
+		if len(splits)+1 != n {
+			return nil, fmt.Errorf("partition: %d range splits describe %d partitions, want %d", len(splits), len(splits)+1, n)
 		}
-		if rr.Partitions() != n {
-			return nil, fmt.Errorf("partition: %d range splits describe %d partitions, want %d", len(splits), rr.Partitions(), n)
+		owners := make([]int, n)
+		for i := range owners {
+			owners[i] = i
 		}
-		return rr, nil
+		return NewRangeMap(splits, owners, n)
 	case strings.HasPrefix(spec, "map:"):
 		m, err := parseRangeMapSpec(spec)
 		if err != nil {

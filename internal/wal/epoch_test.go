@@ -1,7 +1,9 @@
 package wal
 
 import (
+	"encoding/binary"
 	"errors"
+	"os"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -135,17 +137,28 @@ func TestSealEpochLeasePersistence(t *testing.T) {
 	re.Close()
 	other.Close()
 
-	// Legacy bare seal: marker only, epoch reads back 0, upgrade allowed.
+	// Legacy bare seal, written the way older versions did: the marker
+	// with no epoch word. It reads back sealed at epoch 0 and upgrades.
 	lp := filepath.Join(dir, "legacy.wal")
+	var file []byte
+	file = binary.BigEndian.AppendUint64(file, uint64(len(frame("a"))))
+	file = append(file, frame("a")...)
+	file = binary.BigEndian.AppendUint64(file, ^uint64(0)) // the on-disk marker
+	if err := os.WriteFile(lp, file, 0o644); err != nil {
+		t.Fatal(err)
+	}
 	legacy, err := OpenFileLedger(lp, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := legacy.Seal(); err != nil {
-		t.Fatal(err)
-	}
 	if got := legacy.SealedEpoch(); got != 0 {
 		t.Fatalf("legacy SealedEpoch = %d, want 0", got)
+	}
+	if n, _ := legacy.NumBatches(); n != 1 {
+		t.Fatalf("legacy NumBatches = %d, want 1", n)
+	}
+	if _, err := legacy.AppendBatch(frame("b")); !errors.Is(err, ErrSealed) {
+		t.Fatalf("append to legacy-sealed ledger: got %v, want ErrSealed", err)
 	}
 	if err := legacy.SealEpoch(1); err != nil {
 		t.Fatalf("epoch upgrade of legacy seal: %v", err)

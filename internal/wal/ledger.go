@@ -68,15 +68,6 @@ func (m *MemLedger) AppendBatch(batch []byte) (int, error) {
 	return n, nil
 }
 
-// Seal fences the ledger: once Seal returns, no append can store a batch,
-// so a reader that has consumed every stored batch has seen the final log.
-func (m *MemLedger) Seal() error {
-	m.mu.Lock()
-	m.sealed = true
-	m.mu.Unlock()
-	return nil
-}
-
 // SealEpoch fences the ledger with an epoch-numbered seal. The ledger
 // grants each epoch at most once: a proposal at or below the current seal
 // epoch fails with ErrEpochSuperseded, which is what serializes dueling
@@ -94,18 +85,11 @@ func (m *MemLedger) SealEpoch(epoch uint64) error {
 	return nil
 }
 
-// SealedEpoch returns the current seal's epoch (0 = unsealed or legacy).
+// SealedEpoch returns the current seal's epoch (0 when unsealed).
 func (m *MemLedger) SealedEpoch() uint64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.sealEpoch
-}
-
-// Sealed reports whether the ledger has been fenced.
-func (m *MemLedger) Sealed() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.sealed
 }
 
 // NumBatches returns the number of stored batches.
@@ -162,16 +146,17 @@ type FileLedger struct {
 // sealMarker is the batch-length value that marks a sealed file: no real
 // batch can be that large, and a writer that finds it at its append offset
 // knows a successor has fenced the log. An epoch-numbered seal follows the
-// marker with one more 8-byte word holding the epoch; a legacy seal ends
-// at the marker and reads as epoch 0.
+// marker with one more 8-byte word holding the epoch. A legacy seal — a
+// bare marker with no epoch word, as older versions wrote it — still reads
+// as sealed at epoch 0, and SealEpoch upgrades it.
 const sealMarker = ^uint64(0)
 
 // flockEx/flockSh/funlock wrap the advisory file lock that makes the
-// cross-process fence atomic: AppendBatch's check-then-write and Seal's
-// rescan-then-mark each run under the exclusive lock, so a fencing standby
-// can never clobber a batch the primary is mid-appending, and the primary
-// can never overwrite a freshly written seal marker. Locks are held only
-// for the duration of one append, seal, or scan.
+// cross-process fence atomic: AppendBatch's check-then-write and
+// SealEpoch's rescan-then-mark each run under the exclusive lock, so a
+// fencing standby can never clobber a batch the primary is mid-appending,
+// and the primary can never overwrite a freshly written seal marker. Locks
+// are held only for the duration of one append, seal, or scan.
 func flockEx(f *os.File) error { return syscall.Flock(int(f.Fd()), syscall.LOCK_EX) }
 func flockSh(f *os.File) error { return syscall.Flock(int(f.Fd()), syscall.LOCK_SH) }
 func funlock(f *os.File)       { _ = syscall.Flock(int(f.Fd()), syscall.LOCK_UN) }
@@ -292,6 +277,11 @@ func (l *FileLedger) scan() error {
 // read-only ledger follow a file another process is writing. The shared
 // lock excludes a concurrent append or seal, so the scan never observes a
 // half-written batch.
+//
+// A writer-mode open truncates an invalid final batch (see scan), and a
+// fence may then seal the file in its place. Refresh therefore re-reads
+// the header of the final indexed batch first: when it no longer matches
+// the index, the batch is dropped and the scan resumes at its offset.
 func (l *FileLedger) Refresh() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -302,6 +292,18 @@ func (l *FileLedger) Refresh() error {
 		return err
 	}
 	defer funlock(l.f)
+	if last := len(l.offsets) - 1; last >= 0 {
+		var hdr [8]byte
+		off := l.offsets[last] - 8
+		n, err := l.f.ReadAt(hdr[:], off)
+		if err != nil && err != io.EOF {
+			return err
+		}
+		if n < len(hdr) || int64(binary.BigEndian.Uint64(hdr[:])) != l.sizes[last] {
+			l.offsets, l.sizes = l.offsets[:last], l.sizes[:last]
+			l.end = off
+		}
+	}
 	return l.scan()
 }
 
@@ -349,52 +351,17 @@ func (l *FileLedger) AppendBatch(batch []byte) (int, error) {
 	return len(l.offsets) - 1, nil
 }
 
-// Seal durably fences the file: a seal marker is written at the end and
-// fsynced, so both this process and any other process appending to the
-// same file observe the fence. Under the exclusive file lock the seal
-// first rescans to the file's true end — batches another process appended
-// (and possibly acked) since this handle's last scan are indexed, never
-// clobbered — and only then writes the marker, which the lock orders
-// strictly after any in-flight append.
-func (l *FileLedger) Seal() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.sealed {
-		return nil
-	}
-	if err := flockEx(l.f); err != nil {
-		return err
-	}
-	defer funlock(l.f)
-	if err := l.scan(); err != nil {
-		return err
-	}
-	if l.sealed {
-		// The rescan found another sealer's marker; the fence holds.
-		return nil
-	}
-	var hdr [8]byte
-	binary.BigEndian.PutUint64(hdr[:], sealMarker)
-	if _, err := l.f.WriteAt(hdr[:], l.end); err != nil {
-		return err
-	}
-	if err := l.f.Sync(); err != nil {
-		return err
-	}
-	l.sealOff = l.end
-	l.end += 8
-	l.sealed = true
-	return nil
-}
-
 // SealEpoch durably fences the file with an epoch-numbered seal record
-// ([marker][epoch], fsynced). Like Seal, it runs under the exclusive file
-// lock and rescans first, so it composes with concurrent appends and
-// seals from other processes. The ledger grants each epoch at most once:
-// a proposal at or below the current seal epoch — whether placed by this
-// process or read back from a marker another candidate wrote — fails with
-// ErrEpochSuperseded, and a strictly higher proposal upgrades the epoch
-// word in place.
+// ([marker][epoch], fsynced), so both this process and any other process
+// appending to the same file observe the fence. Under the exclusive file
+// lock it first rescans to the file's true end — batches another process
+// appended (and possibly acked) since this handle's last scan are indexed,
+// never clobbered — and only then writes the record, which the lock orders
+// strictly after any in-flight append. The ledger grants each epoch at
+// most once: a proposal at or below the current seal epoch — whether
+// placed by this process or read back from a marker another candidate
+// wrote — fails with ErrEpochSuperseded, and a strictly higher proposal
+// upgrades the epoch word in place.
 func (l *FileLedger) SealEpoch(epoch uint64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -463,18 +430,12 @@ func (l *FileLedger) rereadSealEpoch() error {
 	return nil
 }
 
-// SealedEpoch returns the current seal's epoch (0 = unsealed or legacy).
+// SealedEpoch returns the current seal's epoch (0 = unsealed, or a legacy
+// bare marker).
 func (l *FileLedger) SealedEpoch() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.sealEpoch
-}
-
-// Sealed reports whether the ledger has been fenced.
-func (l *FileLedger) Sealed() bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.sealed
 }
 
 // NumBatches returns the number of stored batches.

@@ -2,7 +2,9 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"os"
 	"path/filepath"
 	"testing"
 	"time"
@@ -25,7 +27,7 @@ func TestSealFencesWriter(t *testing.T) {
 	if err := w.Append([]byte("before")); err != nil {
 		t.Fatalf("append: %v", err)
 	}
-	if err := Seal(l); err != nil {
+	if err := SealEpoch(l, 1); err != nil {
 		t.Fatalf("seal: %v", err)
 	}
 	err := w.Append([]byte("after"))
@@ -43,7 +45,7 @@ func TestSealFencesWriter(t *testing.T) {
 	if n != 1 {
 		t.Fatalf("sealed ledger grew to %d batches", n)
 	}
-	if err := Seal(DiscardLedger{}); err == nil {
+	if err := SealEpoch(DiscardLedger{}, 1); err == nil {
 		t.Fatalf("sealing an unsealable ledger succeeded")
 	}
 }
@@ -68,7 +70,7 @@ func TestFileLedgerSealIsDurableAndCrossProcess(t *testing.T) {
 		t.Fatalf("open sealer: %v", err)
 	}
 	defer sealer.Close()
-	if err := sealer.Seal(); err != nil {
+	if err := sealer.SealEpoch(1); err != nil {
 		t.Fatalf("seal: %v", err)
 	}
 
@@ -77,8 +79,12 @@ func TestFileLedgerSealIsDurableAndCrossProcess(t *testing.T) {
 	if _, err := primary.AppendBatch(frame("batch-1")); !errors.Is(err, ErrSealed) {
 		t.Fatalf("append through fenced handle = %v, want ErrSealed", err)
 	}
-	if !primary.Sealed() {
-		t.Fatalf("fenced handle did not latch")
+	if _, err := primary.AppendBatch(frame("batch-2")); !errors.Is(err, ErrSealed) {
+		t.Fatalf("second append through fenced handle = %v, want ErrSealed", err)
+	}
+	// The fenced handle arbitrates against the successor's seal too.
+	if err := primary.SealEpoch(1); !errors.Is(err, ErrEpochSuperseded) {
+		t.Fatalf("same-epoch seal through fenced handle = %v, want ErrEpochSuperseded", err)
 	}
 
 	// Reopening (recovery) sees the seal and the pre-seal batches.
@@ -87,8 +93,8 @@ func TestFileLedgerSealIsDurableAndCrossProcess(t *testing.T) {
 		t.Fatalf("reopen: %v", err)
 	}
 	defer reopened.Close()
-	if !reopened.Sealed() {
-		t.Fatalf("seal marker not durable across reopen")
+	if got := reopened.SealedEpoch(); got != 1 {
+		t.Fatalf("reopened SealedEpoch = %d, want 1: seal not durable across reopen", got)
 	}
 	if n, _ := reopened.NumBatches(); n != 1 {
 		t.Fatalf("reopened ledger has %d batches, want 1", n)
@@ -146,5 +152,57 @@ func TestTailerFollowsFileLedgerReader(t *testing.T) {
 	}
 	if len(suffix) != 3 || suffix[0] != want[2] {
 		t.Fatalf("suffix = %v, want %v", suffix, want[2:])
+	}
+}
+
+// TestTailerTornTailFencedAway: a read-only tailer stuck on a zero-filled
+// final batch reports ErrTornTail (an ErrCorrupt); once a writer-mode
+// handle has truncated that batch and sealed the file, the same tailer
+// re-indexes and reaches the end cleanly.
+func TestTailerTornTailFencedAway(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wal.log")
+	w, err := OpenFileLedger(path, false)
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	if _, err := w.AppendBatch(frame("acked")); err != nil {
+		t.Fatalf("append: %v", err)
+	}
+	w.Close()
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(append(binary.BigEndian.AppendUint64(nil, 64), make([]byte, 64)...)); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	reader, err := OpenFileLedgerReader(path)
+	if err != nil {
+		t.Fatalf("open reader: %v", err)
+	}
+	defer reader.Close()
+	tail := NewTailer(reader)
+	if e, ok, err := tail.Next(); !ok || err != nil || string(e) != "acked" {
+		t.Fatalf("first entry = %q ok=%v err=%v", e, ok, err)
+	}
+	if _, _, err := tail.Next(); !errors.Is(err, ErrTornTail) || !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("torn final batch: err = %v, want ErrTornTail and ErrCorrupt", err)
+	}
+
+	fence, err := OpenFileLedger(path, false)
+	if err != nil {
+		t.Fatalf("open fence: %v", err)
+	}
+	defer fence.Close()
+	if err := fence.SealEpoch(2); err != nil {
+		t.Fatalf("seal: %v", err)
+	}
+	if _, ok, err := tail.Next(); ok || err != nil {
+		t.Fatalf("after the fence: ok=%v err=%v, want a clean end", ok, err)
+	}
+	if got := reader.SealedEpoch(); got != 2 {
+		t.Fatalf("reader SealedEpoch = %d, want 2", got)
 	}
 }

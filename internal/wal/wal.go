@@ -58,25 +58,13 @@ var (
 	// never both assemble a quorum of fresh seals — the seal itself is the
 	// election's serialization point.
 	ErrEpochSuperseded = errors.New("wal: seal epoch superseded")
+	// ErrTornTail is returned by a Tailer whose ledger's final batch does
+	// not decode (it also matches ErrCorrupt). When the writer crashed
+	// mid-append, that batch was never acked, and the writer-mode open
+	// that fences the log truncates it, so a follower stuck on it may
+	// stand for election.
+	ErrTornTail = errors.New("wal: undecodable final batch")
 )
-
-// Sealer is implemented by ledgers that support fencing.
-type Sealer interface {
-	// Seal makes the ledger permanently read-only: every subsequent
-	// AppendBatch fails with ErrSealed. Sealing an already-sealed ledger
-	// succeeds.
-	Seal() error
-}
-
-// Seal fences a ledger. Ledgers that do not implement Sealer cannot be
-// fenced and return an error.
-func Seal(l Ledger) error {
-	s, ok := l.(Sealer)
-	if !ok {
-		return fmt.Errorf("wal: ledger %T is not sealable", l)
-	}
-	return s.Seal()
-}
 
 // EpochSealer is implemented by ledgers whose seal carries an election
 // epoch. The epoch is the fencing token of the self-healing oracle group:
@@ -90,19 +78,19 @@ type EpochSealer interface {
 	// granted at most once per ledger; otherwise ErrEpochSuperseded.
 	SealEpoch(epoch uint64) error
 	// SealedEpoch returns the epoch of the current seal: 0 when the ledger
-	// is unsealed or was sealed without an epoch (legacy Seal).
+	// is unsealed, sealed at epoch 0, or carries a legacy bare seal marker.
 	SealedEpoch() uint64
 }
 
-// SealEpoch fences a ledger with an epoch-numbered seal. Ledgers without
-// epoch support fall back to a plain Seal — the fence still holds, but
-// such ledgers cannot arbitrate between dueling candidates, so automatic
-// election requires EpochSealer replicas.
+// SealEpoch fences a ledger with an epoch-numbered seal. It is the only
+// fence: a ledger that is not an EpochSealer cannot be fenced and returns
+// an error.
 func SealEpoch(l Ledger, epoch uint64) error {
-	if es, ok := l.(EpochSealer); ok {
-		return es.SealEpoch(epoch)
+	es, ok := l.(EpochSealer)
+	if !ok {
+		return fmt.Errorf("wal: ledger %T is not sealable", l)
 	}
-	return Seal(l)
+	return es.SealEpoch(epoch)
 }
 
 // Config parameterizes the batching and replication policy.
@@ -440,7 +428,12 @@ func (w *Writer) flush(batch []byte, waiters []pendingWaiter, ticket uint64) {
 		} else {
 			fails++
 			if errors.Is(err, ErrSealed) {
+				// Latch before any waiter can see ErrFenced, so a
+				// caller that got it also sees Fenced().
 				sealed = true
+				w.mu.Lock()
+				w.fenced = true
+				w.mu.Unlock()
 			}
 			if firstErr == nil {
 				firstErr = err
@@ -452,11 +445,6 @@ func (w *Writer) flush(batch []byte, waiters []pendingWaiter, ticket uint64) {
 	}
 	if !acked {
 		ack()
-	}
-	if sealed {
-		w.mu.Lock()
-		w.fenced = true
-		w.mu.Unlock()
 	}
 	// Every replica has responded and every waiter is acknowledged: the
 	// batch buffer and waiter slice can serve the next batch.
@@ -596,7 +584,19 @@ func (t *Tailer) Next() (entry []byte, ok bool, err error) {
 			// Leave t.next in place: the batch is not consumed, so a
 			// transient read anomaly is retried on the next call
 			// instead of silently skipping a batch.
-			return nil, false, err
+			if t.next < n-1 {
+				return nil, false, err
+			}
+			// The final batch: re-index once, in case a fencing
+			// writer has since truncated it as a torn write.
+			if r, canRefresh := t.l.(Refresher); canRefresh && !refreshed {
+				if err := r.Refresh(); err != nil {
+					return nil, false, err
+				}
+				refreshed = true
+				continue
+			}
+			return nil, false, fmt.Errorf("%w: batch %d: %w", ErrTornTail, t.next, err)
 		}
 		t.next++
 		t.entries = entries
